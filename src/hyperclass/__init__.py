@@ -10,8 +10,7 @@ the class-group pairing against the section x = n.  Scans over ranges of n
 exhibit nontrivial and unboundedly large orders.
 """
 
-from .curve import OddHyperellipticCurve, is_on_curve, negativity_bound, \
-    new_curve
+from .curve import OddHyperellipticCurve, new_curve
 from .errors import (
     BadDegreeError,
     ConfigError,
@@ -28,7 +27,6 @@ from .errors import (
     NotSquarefreeError,
     PointNotOnCurveError,
     PositiveValueError,
-    SquareValueError,
 )
 from .integral_forms import (
     AltMumfordForm,
@@ -57,7 +55,6 @@ from .quadring import (
     class_number,
     class_number_disc,
     class_number_from_conductor,
-    class_order,
     conductor_data,
     extend_ideal,
     factorint,
@@ -66,13 +63,13 @@ from .quadring import (
     ideal_mul,
     ideal_norm,
     ideal_to_class,
-    is_principal,
     push_to_maximal,
     reduce_form,
     square_part,
     unit_ideal,
 )
 from .specialize import (
+    Specialisation,
     SpecializationRow,
     ValueForm,
     check_norm_bounds,
@@ -81,6 +78,7 @@ from .specialize import (
     is_n_primitive,
     pairing_value,
     scan,
+    specialise,
     specialize_form,
 )
 

@@ -5,6 +5,7 @@ Subcommands:
     validate      check a config: curve invariants, divisor validity
     scan          specialise a divisor class over a range of n
     search        find the largest n whose pairing order reaches a target
+    threshold     congruence class and threshold of guaranteed non-principal n
     class-number  class number of Z[sqrt(D)] for negative D
     jac           Jacobian arithmetic: add, neg, smul
     altmumford    integral form (A, B, C, e) of the configured divisor
@@ -23,8 +24,17 @@ from fractions import Fraction
 
 from .config import ExperimentConfig, load_config
 from .curve import OddHyperellipticCurve, new_curve
-from .errors import ConfigError, HyperclassError
-from .integral_forms import to_alt_mumford
+from .errors import (
+    BadDegreeError,
+    ConfigError,
+    DegreeTooLargeError,
+    HyperclassError,
+)
+from .integral_forms import (
+    congruence_data,
+    nontriviality_threshold,
+    to_alt_mumford,
+)
 from .jacobian import (
     MumfordDivisor,
     check_divisor,
@@ -34,8 +44,8 @@ from .jacobian import (
     jac_smul,
 )
 from .polyarith import IntPoly, RatPoly, discriminant, fixed_divisor
-from .quadring import class_number, class_number_disc, conductor_data
-from .specialize import ROW_FIELDS, find_order_at_least, pairing_value, scan
+from .quadring import class_number, class_number_disc
+from .specialize import ROW_FIELDS, find_order_at_least, scan, specialise
 
 
 def curve_from_config(cfg: ExperimentConfig) -> OddHyperellipticCurve:
@@ -225,6 +235,7 @@ def cmd_search(args) -> int:
     stats = {"examined": 0, "defined": 0, "max_order_seen": None}
 
     def note(n, order):
+        stats["last_order"] = order
         stats["examined"] += 1
         if order is not None:
             stats["defined"] += 1
@@ -239,14 +250,35 @@ def cmd_search(args) -> int:
         for key in ("examined", "defined", "max_order_seen"):
             print(f"{key} = {stats[key]}", file=sys.stderr)
         return 1
-    cls = pairing_value(curve, Q, n, factor_bound=bound)
-    cd = conductor_data(curve.f(n), bound)
+    # the hit's order came through note(); only its class is computed here
+    s = specialise(to_alt_mumford(curve, Q), curve, n, bound)
+    cls = s.maximal_class
     print(f"n = {n}")
-    print(f"f(n) = {curve.f(n)}")
+    print(f"f(n) = {s.value.fval}")
     print(f"form = {cls.rep}")
     print(f"disc = {cls.disc}")
-    print(f"order = {cls.order()}")
-    print(f"class_number = {class_number_disc(cd.disc_max)}")
+    print(f"order = {stats['last_order']}")
+    print(f"class_number = {class_number_disc(s.conductor.disc_max)}")
+    return 0
+
+
+def cmd_threshold(args) -> int:
+    cfg = load_config(args.config)
+    curve = curve_from_config(cfg)
+    form = to_alt_mumford(curve, require_divisor(cfg, curve))
+    cd = congruence_data(form, cfg.factor_bound)
+    print(f"integral form: A = {form.A}, B = {form.B}, e = {form.e}")
+    print(f"congruence class: n = {cd.N_L} (mod {cd.modulus})")
+    print(f"fixed divisor: {cd.d_L}")
+    try:
+        threshold = nontriviality_threshold(form.A, cd.d_L, curve)
+    except (BadDegreeError, DegreeTooLargeError) as exc:
+        print(f"threshold: none, no norm-gap guarantee from this divisor "
+              f"({exc})")
+        return 0
+    print(f"threshold: {threshold}")
+    print(f"guarantee: every n <= {threshold} with n = {cd.N_L} "
+          f"(mod {cd.modulus}) gives a non-principal class")
     return 0
 
 
@@ -349,6 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lowest n to examine")
     add_scan_flags(p)
     p.set_defaults(handler=cmd_search)
+
+    p = sub.add_parser("threshold",
+                       help="congruence class and threshold below which "
+                            "every n gives a non-principal class")
+    add_config(p)
+    p.set_defaults(handler=cmd_threshold)
 
     p = sub.add_parser("class-number",
                        help="class number of Z[sqrt(D)] for D < 0")

@@ -58,11 +58,3 @@ def new_curve(f: IntPoly) -> OddHyperellipticCurve:
     return OddHyperellipticCurve(f=f, genus=genus,
                                  negativity_bound=negativity_bound)
 
-
-def negativity_bound(curve: OddHyperellipticCurve) -> int:
-    """Largest N with f(n) < 0 for every integer n <= N."""
-    return curve.negativity_bound
-
-
-def is_on_curve(curve: OddHyperellipticCurve, x0, y0) -> bool:
-    return curve.contains(x0, y0)

@@ -37,10 +37,6 @@ class PositiveValueError(HyperclassError):
     """f(n) >= 0, so Z[sqrt(f(n))] is not an imaginary quadratic order."""
 
 
-class SquareValueError(HyperclassError):
-    """f(n) is a perfect square, so Z[sqrt(f(n))] is degenerate."""
-
-
 class DivisibilityError(HyperclassError):
     """A required exact divisibility (such as a | b^2 - e^2 D) fails."""
 

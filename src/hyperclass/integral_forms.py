@@ -100,10 +100,12 @@ def coprime_shift(a: int, b: int, c: int, e: int) -> tuple[int, int]:
 
     Raises NotPrimitiveError when gcd(a, 2b, c) != 1.
     """
-    if gcd(gcd(a, 2 * b), c) != 1:
+    content = gcd(gcd(a, 2 * b), c)
+    if content != 1:
+        # the entries can be far too long to print; give the size only
         raise NotPrimitiveError(
-            f"form [{a},{2 * b},{c}] is imprimitive (gcd "
-            f"{gcd(gcd(a, 2 * b), c)})")
+            f"value form is imprimitive: its content has "
+            f"{content.bit_length()} bits")
     if e == 1 or gcd(a, e) == 1:
         return a, b
     # e2 = largest divisor of e all of whose prime factors divide a

@@ -31,7 +31,6 @@ from .errors import (
     FactorizationBoundError,
     InternalInconsistencyError,
     NonInvertibleError,
-    SquareValueError,
 )
 from .polyarith import xgcd
 
@@ -105,7 +104,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with a fixed base set, deterministic below 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -211,10 +210,6 @@ def square_part(n: int, factor_bound: int = 10 ** 6) -> int:
     for p, e in factorint(n, factor_bound).items():
         s *= p ** (e // 2)
     return s
-
-
-def is_squarefree_int(n: int, factor_bound: int = 10 ** 6) -> bool:
-    return square_part(n, factor_bound) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +489,6 @@ def extend_ideal(a: int, b: int, e: int, D: int) -> QuadIdeal:
     return QuadIdeal(D, q, a_out, t)
 
 
-def ideal_is_invertible(I: QuadIdeal) -> bool:
-    """Whether I is proper (invertible): [a, 2b, (b^2 - D)/a] primitive.
-
-    An ideal whose norm shares a factor with the conductor of Z[sqrt(D)]
-    can have a strictly larger multiplier ring; it then represents no
-    element of the Picard group of Z[sqrt(D)].
-    """
-    c = (I.b * I.b - I.D) // I.a
-    return gcd(gcd(I.a, 2 * I.b), c) == 1
-
-
 def ideal_to_class(I: QuadIdeal) -> IdealClass:
     """Class of an invertible ideal, as a reduced form of discriminant 4D.
 
@@ -518,15 +502,6 @@ def ideal_to_class(I: QuadIdeal) -> IdealClass:
         raise NonInvertibleError(
             f"ideal {I} is not invertible (form {F} imprimitive)")
     return IdealClass(4 * I.D, reduce_form(F))
-
-
-def is_principal(I: QuadIdeal) -> bool:
-    return ideal_to_class(I).is_trivial
-
-
-def class_order(I: QuadIdeal) -> int:
-    """Least k >= 1 with I^k principal."""
-    return ideal_to_class(I).order()
 
 
 # ---------------------------------------------------------------------------

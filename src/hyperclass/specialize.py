@@ -19,15 +19,18 @@ Pushing the ideal into the maximal order of Q(sqrt(f(n))) gives the value
 of the class-group pairing of Q against the section x = n whenever that
 section meets the smooth locus of the integral model.
 
-The scan driver evaluates whole ranges of n, records one row per value
-with orders in both Picard groups, and never aborts on a per-value error:
-failures are data.
+Every caller goes through specialise(), whose record computes each step
+of this per-n chain once, and only when it is read.  The scan driver
+evaluates whole ranges of n, records one row per value with orders in
+both Picard groups, and never aborts on a per-value error: failures are
+data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd
 
 from .curve import OddHyperellipticCurve
 from .errors import (
@@ -35,7 +38,6 @@ from .errors import (
     InternalInconsistencyError,
     NotPrimitiveError,
     PositiveValueError,
-    SquareValueError,
 )
 from .integral_forms import AltMumfordForm, coprime_shift, to_alt_mumford
 from .jacobian import MumfordDivisor
@@ -72,18 +74,12 @@ def specialize_form(form: AltMumfordForm, curve: OddHyperellipticCurve,
     """Evaluate (A, B, C) at n and check the discriminant identity.
 
     Raises PositiveValueError when f(n) >= 0 (the value lies outside the
-    imaginary range, i.e. n exceeds the negativity bound) and
-    SquareValueError when f(n) is a perfect square (degenerate form; this
-    cannot happen once f(n) < 0 and is kept as a defensive check).
+    imaginary range, i.e. n exceeds the negativity bound).
     """
     fval = curve.f(n)
     if fval >= 0:
         raise PositiveValueError(
             f"f({n}) = {fval} >= 0; specialisation needs f(n) < 0")
-    # defensive: a perfect-square value makes the form degenerate; it
-    # cannot occur once fval < 0, but the gate above may be relaxed one day
-    if fval >= 0 and isqrt(fval) ** 2 == fval:
-        raise SquareValueError(f"f({n}) = {fval} is a perfect square")
     a_val, b_val, c_val = form.A(n), form.B(n), form.C(n)
     if b_val * b_val - a_val * c_val != form.e * form.e * fval:
         raise InternalInconsistencyError(
@@ -119,31 +115,80 @@ def _delta_ideal(v: ValueForm) -> QuadIdeal:
     extension of an imprimitive one is not in general in the right ideal
     class (the collapse at primes dividing both the values and e is not
     class-preserving), so no fallback is attempted."""
-    if value_gcd(v) != 1:
+    content = value_gcd(v)
+    if content != 1:
+        # the values can be far too long to print; name n and the size
         raise NotPrimitiveError(
-            f"value form [{v.a_val},{2 * v.b_val},{v.c_val}] at n = {v.n} "
-            f"has content {value_gcd(v)}; the class is not computed from "
-            f"an imprimitive representative")
+            f"value form at n = {v.n} has a content of "
+            f"{content.bit_length()} bits; the class is not computed "
+            f"from an imprimitive representative")
     a2, b2 = coprime_shift(v.a_val, v.b_val, v.c_val, v.e)
     return extend_ideal(abs(a2), b2, v.e, v.fval)
+
+
+@dataclass(frozen=True)
+class Specialisation:
+    """The divisor class at one n: its value form, and on demand its
+    primitivity, the ideal, the conductor, the classes in Z[sqrt(f(n))]
+    and in the maximal order, and their orders.
+
+    Each derived field is computed once, at first use, so a caller pays
+    only for what it reads: the class in the order never factors f(n),
+    and no class order is computed unless asked for.  The ideal raises
+    NotPrimitiveError when the value form is imprimitive.
+    """
+
+    value: ValueForm
+    factor_bound: int
+
+    @cached_property
+    def primitive(self) -> bool:
+        return is_n_primitive(self.value)
+
+    @cached_property
+    def ideal(self) -> QuadIdeal:
+        return _delta_ideal(self.value)
+
+    @cached_property
+    def conductor(self) -> ConductorData:
+        return conductor_data(self.value.fval, self.factor_bound)
+
+    @cached_property
+    def delta_class(self) -> IdealClass:
+        """delta_n(Q) in Pic(Z[sqrt(f(n))])."""
+        return ideal_to_class(self.ideal)
+
+    @cached_property
+    def maximal_class(self) -> IdealClass:
+        """The image of delta_n(Q) in the class group of the maximal order."""
+        return push_to_maximal(self.ideal, self.conductor)
+
+    @cached_property
+    def order_order(self) -> int:
+        return self.delta_class.order()
+
+    @cached_property
+    def order_maximal(self) -> int:
+        return self.maximal_class.order()
+
+
+def specialise(form: AltMumfordForm, curve: OddHyperellipticCurve, n: int,
+               factor_bound: int = 10 ** 6) -> Specialisation:
+    """Specialise the divisor class with integral form `form` at x = n."""
+    return Specialisation(specialize_form(form, curve, n), factor_bound)
 
 
 def delta_n(curve: OddHyperellipticCurve, Q: MumfordDivisor,
             n: int) -> IdealClass:
     """Class of (A(n), e*sqrt(f(n)) - B(n)) in Pic(Z[sqrt(f(n))])."""
-    form = to_alt_mumford(curve, Q)
-    v = specialize_form(form, curve, n)
-    return ideal_to_class(_delta_ideal(v))
+    return specialise(to_alt_mumford(curve, Q), curve, n).delta_class
 
 
 def pairing_value(curve: OddHyperellipticCurve, Q: MumfordDivisor, n: int,
                   factor_bound: int = 10 ** 6) -> IdealClass:
     """Image of delta_n(Q) in the class group of the maximal order."""
-    form = to_alt_mumford(curve, Q)
-    v = specialize_form(form, curve, n)
-    I = _delta_ideal(v)
-    cd = conductor_data(v.fval, factor_bound)
-    return push_to_maximal(I, cd)
+    s = specialise(to_alt_mumford(curve, Q), curve, n, factor_bound)
+    return s.maximal_class
 
 
 def check_norm_bounds(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -157,8 +202,7 @@ def check_norm_bounds(curve: OddHyperellipticCurve, Q: MumfordDivisor,
 
     and additionally u = |A(n)| exactly when gcd(A(n), e) = 1.
     """
-    form = to_alt_mumford(curve, Q)
-    v = specialize_form(form, curve, n)
+    v = specialise(to_alt_mumford(curve, Q), curve, n, factor_bound).value
     I = extend_ideal(abs(v.a_val), v.b_val, v.e, v.fval)
     u = I.a
     a_abs = abs(v.a_val)
@@ -220,29 +264,38 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
               factor_bound: int) -> SpecializationRow:
     row = SpecializationRow(n=n)
     try:
-        v = specialize_form(form, curve, n)
-        row.f_n = v.fval
-        cd = conductor_data(v.fval, factor_bound)
-        row.S_n = cd.S
-        row.primitive = is_n_primitive(v)
+        s = specialise(form, curve, n, factor_bound)
+        row.f_n = s.value.fval
+        row.S_n = s.conductor.S
+        row.primitive = s.primitive
         if not row.primitive:
             return row
-        I = _delta_ideal(v)
-        cls = ideal_to_class(I)
-        row.form_a = cls.rep.a
-        row.form_b2 = cls.rep.b2
-        row.form_c = cls.rep.c
-        row.order_order = cls.order()
-        pushed = push_to_maximal(I, cd)
-        row.order_maximal = pushed.order()
-        row.pairing_status = smooth_section_status(v.fval, fprime(n), cd.S)
+        rep = s.delta_class.rep
+        row.form_a, row.form_b2, row.form_c = rep.a, rep.b2, rep.c
+        row.order_order = s.order_order
+        row.order_maximal = s.order_maximal
+        row.pairing_status = smooth_section_status(s.value.fval, fprime(n),
+                                                   s.conductor.S)
         if class_numbers:
-            h_max = class_number_disc(cd.disc_max)
+            h_max = class_number_disc(s.conductor.disc_max)
             row.h_maximal = h_max
-            row.h_order = class_number_from_conductor(cd, h_max, factor_bound)
+            row.h_order = class_number_from_conductor(s.conductor, h_max,
+                                                      factor_bound)
     except HyperclassError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row
+
+
+def _descending(curve: OddHyperellipticCurve, n_hi: int, n_lo: int,
+                squarefree_only: bool, factor_bound: int):
+    """n from n_hi down to n_lo; with squarefree_only, only those n where
+    f(n)/fd(f) is square-free."""
+    fd_f = fixed_divisor(curve.f)
+    for n in range(n_hi, n_lo - 1, -1):
+        if squarefree_only \
+                and square_part(curve.f(n) // fd_f, factor_bound) != 1:
+            continue
+        yield n
 
 
 def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -261,16 +314,9 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
             f"{curve.negativity_bound}")
     form = to_alt_mumford(curve, Q)
     fprime = curve.f.derivative()
-    fd_f = fixed_divisor(curve.f)
-    rows = []
-    for n in range(n_hi, n_lo - 1, -1):
-        if squarefree_only:
-            reduced = curve.f(n) // fd_f
-            if square_part(reduced, factor_bound) != 1:
-                continue
-        rows.append(_scan_row(curve, form, fprime, n,
-                              class_numbers, factor_bound))
-    return rows
+    return [_scan_row(curve, form, fprime, n, class_numbers, factor_bound)
+            for n in _descending(curve, n_hi, n_lo, squarefree_only,
+                                 factor_bound)]
 
 
 def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -281,24 +327,19 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     """Largest n <= negativity bound with pairing order >= k, or None.
 
     Walks n downward from the negativity bound to n_floor; values where
-    the class is undefined or fails are skipped.  progress, if given, is
-    called with (n, order or None) for every examined n.
+    the class is undefined or fails are skipped, except that an
+    InternalInconsistencyError propagates.  progress, if given, is called
+    with (n, order or None) for every examined n.
     """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
     form = to_alt_mumford(curve, Q)
-    fd_f = fixed_divisor(curve.f)
-    for n in range(curve.negativity_bound, n_floor - 1, -1):
-        if squarefree_only:
-            reduced = curve.f(n) // fd_f
-            if square_part(reduced, factor_bound) != 1:
-                continue
-        order = None
+    for n in _descending(curve, curve.negativity_bound, n_floor,
+                         squarefree_only, factor_bound):
         try:
-            v = specialize_form(form, curve, n)
-            I = _delta_ideal(v)
-            cd = conductor_data(v.fval, factor_bound)
-            order = push_to_maximal(I, cd).order()
+            order = specialise(form, curve, n, factor_bound).order_maximal
+        except InternalInconsistencyError:
+            raise
         except HyperclassError:
             order = None
         if progress is not None:

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from hyperclass import cli, specialize
 from hyperclass.cli import main
 from hyperclass.config import parse_config_text
-from hyperclass.errors import ConfigError
+from hyperclass.errors import ConfigError, InternalInconsistencyError
+from hyperclass.quadring import IdealClass
 
 BASE = """\
 # elliptic test curve
@@ -181,6 +183,72 @@ def test_search_exhausted(tmp_path, capsys):
     assert "examined = 7" in err
     assert "defined = 4" in err
     assert "max_order_seen = 6" in err
+
+
+def test_search_computes_no_order_after_the_hit(tmp_path, capsys,
+                                              monkeypatch):
+    # the hit's order comes from the search itself; the report after it
+    # must not run the class-order loop again
+    found = []
+    search = cli.find_order_at_least
+    order = IdealClass.order
+
+    def find(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    def guarded_order(self, *args):
+        assert not found, "class order computed after the search"
+        return order(self, *args)
+
+    monkeypatch.setattr(cli, "find_order_at_least", find)
+    monkeypatch.setattr(IdealClass, "order", guarded_order)
+    cfg = write_config(tmp_path, BASE)
+    code, out, err = run(
+        ["search", "--config", cfg, "--min-order", "5", "--floor", "-50"],
+        capsys)
+    assert code == 0, err
+    assert found == [-5]
+    assert "order = 6" in out.splitlines()
+
+
+def test_search_internal_inconsistency_exits_2(tmp_path, capsys,
+                                               monkeypatch):
+    def broken(I, cd):
+        raise InternalInconsistencyError("planted")
+    monkeypatch.setattr(specialize, "push_to_maximal", broken)
+    cfg = write_config(tmp_path, BASE)
+    code, out, err = run(
+        ["search", "--config", cfg, "--min-order", "2", "--floor", "-10"],
+        capsys)
+    assert code == 2
+    assert out == ""
+    assert "InternalInconsistencyError: planted" in err
+
+
+def test_threshold_report(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    code, out, err = run(["threshold", "--config", cfg], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "integral form: A = x - 2, B = 2, e = 1",
+        "congruence class: n = 0 (mod 1)",
+        "fixed divisor: 1",
+        "threshold: 0",
+        "guarantee: every n <= 0 with n = 0 (mod 1) gives a non-principal "
+        "class",
+    ]
+
+
+def test_threshold_without_guarantee(tmp_path, capsys):
+    # the identity divisor has constant A = 1: no norm gap to argue from
+    cfg = write_config(tmp_path, "f = [-4, 0, 0, 1]\n"
+                                 "divisor_a = [1]\ndivisor_b = [0]\n")
+    code, out, err = run(["threshold", "--config", cfg], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith(
+        "threshold: none, no norm-gap guarantee")
+    assert "guarantee: every" not in out
 
 
 def test_search_needs_target_and_floor(tmp_path, capsys):

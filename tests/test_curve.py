@@ -2,7 +2,7 @@
 
 import pytest
 
-from hyperclass.curve import OddHyperellipticCurve, is_on_curve, negativity_bound, new_curve
+from hyperclass.curve import OddHyperellipticCurve, new_curve
 from hyperclass.errors import BadDegreeError, NotMonicError, NotSquarefreeError, PointNotOnCurveError
 from hyperclass.polyarith import IntPoly
 
@@ -34,7 +34,7 @@ def test_new_curve_genus2():
 )
 def test_negativity_bound_values(coeffs, nf):
     c = new_curve(IntPoly(coeffs))
-    assert negativity_bound(c) == nf
+    assert c.negativity_bound == nf
     # defining property: f < 0 at and below the bound, not one step further
     assert c.f(nf) < 0
     assert all(c.f(nf - k) < 0 for k in range(1, 10))
@@ -72,10 +72,10 @@ def test_validation_order_degree_before_monic():
 
 def test_point_membership():
     c = new_curve(IntPoly([-4, 0, 0, 1]))
-    assert is_on_curve(c, 2, 2)
-    assert is_on_curve(c, 2, -2)
+    assert c.contains(2, 2)
+    assert c.contains(2, -2)
     assert c.contains(5, 11)
-    assert not is_on_curve(c, 2, 3)
+    assert not c.contains(2, 3)
     c.require_point(2, -2)
     with pytest.raises(PointNotOnCurveError):
         c.require_point(1, 1)

@@ -22,7 +22,6 @@ from hyperclass.quadring import (
     class_number,
     class_number_disc,
     class_number_from_conductor,
-    class_order,
     compose,
     conductor_data,
     extend_ideal,
@@ -33,9 +32,7 @@ from hyperclass.quadring import (
     ideal_mul,
     ideal_norm,
     ideal_to_class,
-    is_principal,
     is_probable_prime,
-    is_squarefree_int,
     kronecker,
     primes_up_to,
     principal_form,
@@ -177,11 +174,11 @@ def test_square_part_and_squarefree():
     assert square_part(49) == 7
     assert square_part(30) == 1
     assert square_part(720) == 12
-    assert is_squarefree_int(30)
-    assert not is_squarefree_int(12)
-    assert is_squarefree_int(1)
+    assert square_part(30) == 1
+    assert square_part(12) != 1
+    assert square_part(1) == 1
     with pytest.raises(ValueError):
-        is_squarefree_int(0)
+        square_part(0)
 
 
 # --- forms and composition ---------------------------------------------------
@@ -282,7 +279,7 @@ def test_class_order_divides_class_number():
         h = class_number(D)
         for _ in range(20):
             I = random_invertible_ideal(rng, D)
-            assert h % class_order(I) == 0
+            assert h % ideal_to_class(I).order() == 0
 
 
 # --- ideals -----------------------------------------------------------------
@@ -520,17 +517,17 @@ def test_ideal_to_class_spec_examples():
 
 
 def test_is_principal():
-    assert is_principal(unit_ideal(-5))
-    assert is_principal(QuadIdeal(-5, 7, 1, 0))
-    assert not is_principal(QuadIdeal(-5, 1, 3, 2))
+    assert ideal_to_class(unit_ideal(-5)).is_trivial
+    assert ideal_to_class(QuadIdeal(-5, 7, 1, 0)).is_trivial
+    assert not ideal_to_class(QuadIdeal(-5, 1, 3, 2)).is_trivial
     I = QuadIdeal(-5, 1, 3, 2)
-    assert is_principal(ideal_mul(I, ideal_conjugate(I)))
+    assert ideal_to_class(ideal_mul(I, ideal_conjugate(I))).is_trivial
 
 
 def test_class_order_spec_examples():
-    assert class_order(unit_ideal(-5)) == 1
-    assert class_order(QuadIdeal(-5, 1, 3, 2)) == 2
-    assert class_order(QuadIdeal(-5, 1, 2, 1)) == 2
+    assert ideal_to_class(unit_ideal(-5)).order() == 1
+    assert ideal_to_class(QuadIdeal(-5, 1, 3, 2)).order() == 2
+    assert ideal_to_class(QuadIdeal(-5, 1, 2, 1)).order() == 2
 
 
 # --- class numbers ----------------------------------------------------------
@@ -627,7 +624,7 @@ def test_conductor_identity_holds():
         v = -rng.randrange(1, 10**6)
         cd = conductor_data(v)
         assert cd.S * cd.S * cd.d == v
-        assert is_squarefree_int(-cd.d) or cd.d == -1
+        assert square_part(-cd.d) == 1 or cd.d == -1
         assert cd.conductor**2 * cd.disc_max == 4 * v
 
 
@@ -667,7 +664,7 @@ def test_push_to_maximal_kernel_bound():
         cd = conductor_data(v)
         for _ in range(30):
             I = random_invertible_ideal(rng, v)
-            below = class_order(I)
+            below = ideal_to_class(I).order()
             above = qr.push_to_maximal(I, cd).order()
             assert below % above == 0
             assert below // above <= 4 * cd.S * cd.S

@@ -6,20 +6,26 @@ import math
 import pytest
 
 from hyperclass.curve import new_curve
-from hyperclass.errors import NotPrimitiveError, PositiveValueError
-from hyperclass.integral_forms import to_alt_mumford
+from hyperclass import specialize
+from hyperclass.errors import (
+    InternalInconsistencyError,
+    NotPrimitiveError,
+    PositiveValueError,
+)
+from hyperclass.integral_forms import coprime_shift, to_alt_mumford
 from hyperclass.jacobian import from_point, identity, jac_neg, jac_smul
 from hyperclass.polyarith import IntPoly
 from hyperclass.quadring import (
     IdealClass,
     IntBinaryForm,
     class_number_disc,
-    is_squarefree_int,
     reduce_form,
     square_part,
 )
 from hyperclass.specialize import (
     ROW_FIELDS,
+    ValueForm,
+    _delta_ideal,
     check_norm_bounds,
     delta_n,
     find_order_at_least,
@@ -27,6 +33,7 @@ from hyperclass.specialize import (
     pairing_value,
     scan,
     smooth_section_status,
+    specialise,
     specialize_form,
     value_gcd,
 )
@@ -86,6 +93,19 @@ def test_delta_identity_divisor_trivial():
 def test_delta_rejects_imprimitive():
     with pytest.raises(NotPrimitiveError):
         delta_n(CURVE, Q, -2)
+
+
+def test_imprimitive_error_names_n_for_huge_values():
+    # values past Python's 4300-digit int-to-str limit: the refusal must
+    # still be a NotPrimitiveError, not a ValueError from formatting them
+    big = 2 * 10 ** 5000
+    v = ValueForm(n=-7, a_val=big, b_val=big, c_val=big + 2, e=1,
+                  fval=-2 * big)
+    assert v.b_val ** 2 - v.a_val * v.c_val == v.fval
+    with pytest.raises(NotPrimitiveError, match="n = -7"):
+        _delta_ideal(v)
+    with pytest.raises(NotPrimitiveError):
+        coprime_shift(v.a_val, v.b_val, v.c_val, v.e)
 
 
 def test_delta_refuses_imprimitive_representative_over_squarefree_value():
@@ -190,7 +210,7 @@ def test_delta_matches_direct_reduction():
     checked = 0
     for n in range(CURVE.negativity_bound, -51, -1):
         fval = CURVE.f(n)
-        if not is_squarefree_int(-fval):
+        if square_part(-fval) != 1:
             continue
         v = specialize_form(F, CURVE, n)
         a, b2, c = v.a_val, 2 * v.b_val, v.c_val
@@ -338,6 +358,36 @@ def test_find_order_at_least_progress():
 def test_find_order_at_least_squarefree_only():
     # same answer here: the first qualifying n has square-free value anyway
     assert find_order_at_least(CURVE, Q, 2, -50, squarefree_only=True) == -1
+
+
+def test_specialise_is_lazy(monkeypatch):
+    # the class in Z[sqrt(f(n))] never factors f(n)
+    def no_factoring(*args):
+        raise AssertionError("f(n) was factored")
+    monkeypatch.setattr(specialize, "conductor_data", no_factoring)
+    s = specialise(to_alt_mumford(CURVE, Q), CURVE, -3)
+    assert s.primitive and s.value.fval == -31
+    assert s.delta_class.rep == IntBinaryForm(5, 4, 7)
+    assert delta_n(CURVE, Q, -3) == s.delta_class
+    with pytest.raises(AssertionError):
+        s.maximal_class
+
+
+def test_specialise_record_fields():
+    s = specialise(to_alt_mumford(CURVE, Q), CURVE, -5)
+    assert s.delta_class == delta_n(CURVE, Q, -5)
+    assert s.maximal_class == pairing_value(CURVE, Q, -5)
+    assert (s.order_order, s.order_maximal) == (6, 6)
+    assert s.conductor.S == 1
+    assert not specialise(to_alt_mumford(CURVE, Q), CURVE, -2).primitive
+
+
+def test_find_order_at_least_propagates_inconsistency(monkeypatch):
+    def broken(I, cd):
+        raise InternalInconsistencyError("planted")
+    monkeypatch.setattr(specialize, "push_to_maximal", broken)
+    with pytest.raises(InternalInconsistencyError, match="planted"):
+        find_order_at_least(CURVE, Q, 2, -50)
 
 
 def test_find_order_rejects_bad_k():
