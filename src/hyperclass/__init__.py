@@ -25,6 +25,7 @@ from .errors import (
     NotMonicError,
     NotPrimitiveError,
     NotSquarefreeError,
+    OrderBoundError,
     PointNotOnCurveError,
     PositiveValueError,
 )

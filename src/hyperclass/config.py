@@ -30,12 +30,6 @@ from fractions import Fraction
 
 from .errors import ConfigError
 
-_KNOWN_KEYS = {
-    "f", "point", "divisor_a", "divisor_b", "from", "to", "min_order",
-    "floor", "format", "squarefree_only", "class_numbers", "factor_bound",
-}
-
-
 @dataclass
 class ExperimentConfig:
     """Parsed experiment description; unset fields stay None/defaults."""
@@ -103,6 +97,36 @@ def _parse_pair(text: str, path: str, lineno: int):
             _parse_rational(parts[1], path, lineno))
 
 
+def _parse_format(text: str, path: str, lineno: int) -> str:
+    if text not in ("csv", "json"):
+        _fail(path, lineno, f"format must be csv or json, got {text!r}")
+    return text
+
+
+def _parse_factor_bound(text: str, path: str, lineno: int) -> int:
+    v = _parse_int(text, path, lineno)
+    if v < 1:
+        _fail(path, lineno, "factor_bound must be positive")
+    return v
+
+
+# config key -> (ExperimentConfig field, parser)
+_KEYS = {
+    "f": ("f", _parse_list),
+    "point": ("point", _parse_pair),
+    "divisor_a": ("divisor_a", _parse_list),
+    "divisor_b": ("divisor_b", _parse_list),
+    "from": ("n_from", _parse_int),
+    "to": ("n_to", _parse_int),
+    "min_order": ("min_order", _parse_int),
+    "floor": ("floor", _parse_int),
+    "format": ("format", _parse_format),
+    "squarefree_only": ("squarefree_only", _parse_bool),
+    "class_numbers": ("class_numbers", _parse_bool),
+    "factor_bound": ("factor_bound", _parse_factor_bound),
+}
+
+
 def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
     seen: set[str] = set()
@@ -115,41 +139,15 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             _fail(path, lineno, f"unknown key {key!r}")
         if key in seen:
             _fail(path, lineno, f"duplicate key {key!r}")
         seen.add(key)
         if not value:
             _fail(path, lineno, f"empty value for {key!r}")
-        if key == "f":
-            cfg.f = _parse_list(value, path, lineno)
-        elif key == "point":
-            cfg.point = _parse_pair(value, path, lineno)
-        elif key == "divisor_a":
-            cfg.divisor_a = _parse_list(value, path, lineno)
-        elif key == "divisor_b":
-            cfg.divisor_b = _parse_list(value, path, lineno)
-        elif key == "from":
-            cfg.n_from = _parse_int(value, path, lineno)
-        elif key == "to":
-            cfg.n_to = _parse_int(value, path, lineno)
-        elif key == "min_order":
-            cfg.min_order = _parse_int(value, path, lineno)
-        elif key == "floor":
-            cfg.floor = _parse_int(value, path, lineno)
-        elif key == "format":
-            if value not in ("csv", "json"):
-                _fail(path, lineno, f"format must be csv or json, got {value!r}")
-            cfg.format = value
-        elif key == "squarefree_only":
-            cfg.squarefree_only = _parse_bool(value, path, lineno)
-        elif key == "class_numbers":
-            cfg.class_numbers = _parse_bool(value, path, lineno)
-        elif key == "factor_bound":
-            cfg.factor_bound = _parse_int(value, path, lineno)
-            if cfg.factor_bound < 1:
-                _fail(path, lineno, "factor_bound must be positive")
+        name, parse = _KEYS[key]
+        setattr(cfg, name, parse(value, path, lineno))
     if not cfg.f:
         raise ConfigError(f"{path}: missing required key 'f'")
     if cfg.point is not None and (cfg.divisor_a is not None

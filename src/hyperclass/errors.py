@@ -57,6 +57,10 @@ class FactorizationBoundError(HyperclassError):
     """Integer factorisation exceeded the configured work bound."""
 
 
+class OrderBoundError(HyperclassError):
+    """A class order exceeded the iteration cap of its computation."""
+
+
 class InternalInconsistencyError(HyperclassError):
     """An invariant that should be unreachable was violated; please report."""
 

@@ -77,12 +77,8 @@ def to_alt_mumford(curve: OddHyperellipticCurve,
     A = clear_denominators(a).primitive_part()
     if A.lc < 0:
         A = -A
-    if b.is_zero:
-        e = 1
-        B = IntPoly.zero()
-    else:
-        e = b.denominator_lcm()
-        B = IntPoly((c * e).numerator for c in b.coeffs)
+    e = b.denominator_lcm()
+    B = clear_denominators(b)
     C = (B * B - curve.f * (e * e)).exact_div(A)
     form = AltMumfordForm(A=A, B=B, C=C, e=e)
     form.check(curve)

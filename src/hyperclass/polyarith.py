@@ -16,6 +16,7 @@ point).  Everything here is exact; there is no numerical fallback.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import InternalInconsistencyError
@@ -57,31 +58,37 @@ def _trim(coeffs):
     return tuple(cs)
 
 
-class IntPoly:
-    """Dense univariate polynomial with integer coefficients."""
+class _Poly:
+    """Ring operations shared by IntPoly and RatPoly.
+
+    A subclass fixes the coefficient type (_coeff) and the scalar types its
+    + - * accept besides polynomials of its own class (_scalars).
+    """
 
     __slots__ = ("coeffs",)
+    _coeff = int
+    _scalars = (int,)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", _trim(self._coeff(c) for c in coeffs))
 
     def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls) -> "IntPoly":
+    def zero(cls):
         return cls(())
 
     @classmethod
-    def one(cls) -> "IntPoly":
+    def one(cls):
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "IntPoly":
+    def x(cls):
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, c: int, k: int) -> "IntPoly":
+    def monomial(cls, c, k: int):
         return cls((0,) * k + (c,))
 
     @property
@@ -93,41 +100,40 @@ class IntPoly:
         return not self.coeffs
 
     @property
-    def lc(self) -> int:
+    def lc(self):
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else 0
+        return self.coeffs[-1] if self.coeffs else self._coeff(0)
 
     def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("IntPoly", self.coeffs))
-
-    def __repr__(self):
-        return f"IntPoly({list(self.coeffs)})"
+        return hash((type(self).__name__, self.coeffs))
 
     def __str__(self):
         return _pretty(self.coeffs)
 
+    def _operand(self, other):
+        """other as a polynomial of this class, or None if it is not one."""
+        if isinstance(other, self._scalars):
+            return type(self)((other,))
+        return other if isinstance(other, type(self)) else None
+
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPoly(x + y for x, y in zip(a, b))
+        return type(self)(x + y for x, y in
+                          zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly(-c for c in self.coeffs)
+        return type(self)(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -135,20 +141,32 @@ class IntPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        if not isinstance(other, IntPoly):
+        if isinstance(other, self._scalars):
+            return type(self)(c * other for c in self.coeffs)
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return type(self)()
+        out = [self._coeff(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
+
+    def derivative(self):
+        return type(self)(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+
+
+class IntPoly(_Poly):
+    """Dense univariate polynomial with integer coefficients."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"IntPoly({list(self.coeffs)})"
 
     def __call__(self, t):
         """Evaluate by Horner; accepts int or Fraction and preserves the type."""
@@ -157,9 +175,6 @@ class IntPoly:
             acc = acc * t + c
         return acc
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-
     def to_rational(self) -> "RatPoly":
         return RatPoly(self.coeffs)
 
@@ -167,10 +182,7 @@ class IntPoly:
         """Positive gcd of the coefficients.  Errors on the zero polynomial."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no content")
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive_part(self) -> "IntPoly":
         """self divided by its content; the leading sign is preserved."""
@@ -179,127 +191,21 @@ class IntPoly:
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient self / other in Z[x]; raises if division leaves a remainder."""
-        q, r = self.to_rational().__divmod__(other.to_rational())
+        q, r = divmod(self.to_rational(), other.to_rational())
         if not r.is_zero:
             raise ValueError("inexact polynomial division")
         return rat_to_int(q)
 
-    def pseudo_divrem(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly", int]:
-        """Pseudo-division: returns (q, r, s) with s*self = q*other + r over Z[x],
-        deg r < deg other, and s = lc(other)**(deg self - deg other + 1)."""
-        if other.is_zero:
-            raise ZeroDivisionError("pseudo-division by zero polynomial")
-        if self.is_zero or self.degree < other.degree:
-            return IntPoly(), self, 1
-        d = other.degree
-        e = self.degree - d + 1
-        lcd = other.lc
-        q, r = IntPoly(), self
-        steps = 0
-        while not r.is_zero and r.degree >= d:
-            t = IntPoly.monomial(r.lc, r.degree - d)
-            q = q * lcd + t
-            r = r * lcd - t * other
-            steps += 1
-        s = lcd ** e
-        pad = e - steps
-        if pad:
-            q = q * (lcd ** pad)
-            r = r * (lcd ** pad)
-        return q, r, s
 
-
-class RatPoly:
+class RatPoly(_Poly):
     """Dense univariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(Fraction(c) for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, c, k: int) -> "RatPoly":
-        return cls((0,) * k + (Fraction(c),))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("RatPoly", self.coeffs))
+    __slots__ = ()
+    _coeff = Fraction
+    _scalars = (int, Fraction)
 
     def __repr__(self):
         return f"RatPoly({[str(c) for c in self.coeffs]})"
-
-    def __str__(self):
-        return _pretty(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return RatPoly(x + y for x, y in zip(a, b))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(c * other for c in self.coeffs)
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, t):
         acc = Fraction(0)
@@ -320,35 +226,18 @@ class RatPoly:
         return q, r
 
     def __floordiv__(self, other):
-        return self.__divmod__(other)[0]
+        return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return self.__divmod__(other)[1]
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        return divmod(self, other)[1]
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
             raise ValueError("the zero polynomial cannot be made monic")
         return self * (1 / self.lc)
 
-    def content(self) -> Fraction:
-        """Positive rational q such that self / q is a primitive integer polynomial."""
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no content")
-        den = lcm(*(c.denominator for c in self.coeffs)) if len(self.coeffs) > 1 \
-            else self.coeffs[0].denominator
-        cleared = IntPoly(c * den for c in self.coeffs)
-        return Fraction(cleared.content(), den)
-
     def denominator_lcm(self) -> int:
-        if self.is_zero:
-            return 1
-        out = 1
-        for c in self.coeffs:
-            out = lcm(out, c.denominator)
-        return out
+        return lcm(*(c.denominator for c in self.coeffs))
 
 
 def _pretty(coeffs) -> str:
@@ -408,36 +297,10 @@ def rat_xgcd(p: RatPoly, q: RatPoly):
     return old_r * inv, old_s * inv, old_t * inv
 
 
-def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Gcd in Z[x], normalised to positive leading coefficient."""
-    if p.is_zero and q.is_zero:
-        return IntPoly()
-    if p.is_zero:
-        return q if q.lc > 0 else -q
-    if q.is_zero:
-        return p if p.lc > 0 else -p
-    cont = gcd(p.content(), q.content())
-    g = rat_gcd(p.to_rational(), q.to_rational())
-    gi = clear_denominators(g).primitive_part()
-    if gi.lc < 0:
-        gi = -gi
-    return gi * cont
-
-
-def poly_divrem(p: RatPoly, q: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Division with remainder over Q[x]: p = quo*q + rem with deg rem < deg q."""
-    return p.__divmod__(q)
-
-
 def clear_denominators(p: RatPoly) -> IntPoly:
     """p times the lcm of its coefficient denominators, as an IntPoly."""
     den = p.denominator_lcm()
     return IntPoly((c * den).numerator for c in p.coeffs)
-
-
-def content(p) -> "int | Fraction":
-    """Content of an IntPoly (positive int) or RatPoly (positive Fraction)."""
-    return p.content()
 
 
 def fixed_divisor(p: IntPoly) -> int:
@@ -533,7 +396,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     if g.degree == 0 or g.is_zero:
         out = p.primitive_part()
     else:
-        quo, rem = p.to_rational().__divmod__(g)
+        quo, rem = divmod(p.to_rational(), g)
         assert rem.is_zero
         out = clear_denominators(quo).primitive_part()
     return out if out.lc > 0 else -out
@@ -577,13 +440,6 @@ def _var_at_minus_inf(chain) -> int:
 
 def _var_at_plus_inf(chain) -> int:
     return _variations(_sign(h.lc) for h in chain)
-
-
-def count_roots_leq(p: IntPoly, t: int) -> int:
-    """Number of distinct real roots of p in (-inf, t], exactly."""
-    sf = squarefree_part(p)
-    chain = _sturm_chain(sf)
-    return _var_at_minus_inf(chain) - _var_at(chain, t)
 
 
 def first_nonnegative(p: IntPoly) -> int:

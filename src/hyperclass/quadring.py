@@ -22,6 +22,7 @@ the maximal-order class number.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -31,6 +32,7 @@ from .errors import (
     FactorizationBoundError,
     InternalInconsistencyError,
     NonInvertibleError,
+    OrderBoundError,
 )
 from .polyarith import xgcd
 
@@ -86,15 +88,7 @@ def primes_up_to(limit: int) -> list[int]:
         _SIEVE_LIMIT = new_limit
     if _SIEVE_LIMIT == limit:
         return _SIEVE_PRIMES
-    # binary search for the cut-off
-    lo, hi = 0, len(_SIEVE_PRIMES)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _SIEVE_PRIMES[mid] <= limit:
-            lo = mid + 1
-        else:
-            hi = mid
-    return _SIEVE_PRIMES[:lo]
+    return _SIEVE_PRIMES[:bisect_right(_SIEVE_PRIMES, limit)]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -305,6 +299,16 @@ def _hnf_module(rows) -> tuple[int, int, int]:
     return cv, a, t
 
 
+def _generator_rows(gens, rho: int, sigma: int):
+    """Spanning rows of the ideal generated by gens (u, v) ~ u + v*w, where
+    w^2 = rho + sigma*w: each generator and its product with w."""
+    rows = []
+    for (u, v) in gens:
+        rows.append((u, v))
+        rows.append((v * rho, u + v * sigma))
+    return rows
+
+
 def _ideal_rows_product(a1: int, t1: int, a2: int, t2: int,
                         rho: int, sigma: int):
     """Spanning rows of (a1, w - t1)*(a2, w - t2) in the {1, w} basis."""
@@ -375,7 +379,8 @@ class IdealClass:
         return IdealClass(self.disc, reduce_form(self.rep.conjugate()))
 
     def order(self, cap: int = 10 ** 7) -> int:
-        """Least k >= 1 with the k-th power trivial."""
+        """Least k >= 1 with the k-th power trivial; OrderBoundError when
+        it exceeds cap."""
         if self.is_trivial:
             return 1
         acc = self
@@ -384,8 +389,8 @@ class IdealClass:
             acc = acc * self
             k += 1
             if k > cap:
-                raise InternalInconsistencyError(
-                    "class order exceeded the iteration cap")
+                raise OrderBoundError(
+                    f"class order exceeds the cap {cap}")
         return k
 
     def __str__(self):
@@ -428,11 +433,7 @@ def unit_ideal(D: int) -> QuadIdeal:
 
 def ideal_from_generators(D: int, gens) -> QuadIdeal:
     """Ideal of Z[sqrt(D)] generated by elements (u, v) ~ u + v*y."""
-    rows = []
-    for (u, v) in gens:
-        rows.append((u, v))
-        rows.append((v * D, u))   # (u + v*y)*y
-    q, a, t = _hnf_module(rows)
+    q, a, t = _hnf_module(_generator_rows(gens, D, 0))
     return QuadIdeal(D, q, a, t)
 
 
@@ -484,9 +485,7 @@ def extend_ideal(a: int, b: int, e: int, D: int) -> QuadIdeal:
     if (b * b - e * e * D) % a:
         raise DivisibilityError(
             f"{a} does not divide {b}^2 - {e}^2*({D})")
-    rows = [(a, 0), (0, a), (-b, e), (e * D, -b)]
-    q, a_out, t = _hnf_module(rows)
-    return QuadIdeal(D, q, a_out, t)
+    return ideal_from_generators(D, [(a, 0), (-b, e)])
 
 
 def ideal_to_class(I: QuadIdeal) -> IdealClass:
@@ -496,12 +495,7 @@ def ideal_to_class(I: QuadIdeal) -> IdealClass:
     part q does not move the class.  NonInvertibleError when the form is
     imprimitive (the ideal is not proper).
     """
-    c = (I.b * I.b - I.D) // I.a
-    F = IntBinaryForm(I.a, 2 * I.b, c)
-    if not F.is_primitive:
-        raise NonInvertibleError(
-            f"ideal {I} is not invertible (form {F} imprimitive)")
-    return IdealClass(4 * I.D, reduce_form(F))
+    return _class_from_hnf(4 * I.D, I.a, I.b)
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +603,7 @@ def push_to_maximal(I: QuadIdeal, cd: ConductorData) -> IdealClass:
     else:
         y_u, y_v = -S, 2 * S       # y = S*(2w - 1)
     gens = [(I.q * I.a, 0), (-I.q * I.b + I.q * y_u, I.q * y_v)]
-    rows = []
-    for (u, v) in gens:
-        rows.append((u, v))
-        rows.append((v * rho, u + v * sigma))   # (u + v*w)*w
-    _, a, t = _hnf_module(rows)
+    _, a, t = _hnf_module(_generator_rows(gens, rho, sigma))
     return _class_from_hnf(disc, a, t)
 
 

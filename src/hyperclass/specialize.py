@@ -28,7 +28,7 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from math import gcd
 
@@ -254,9 +254,7 @@ class SpecializationRow:
     pairing_status: str | None = None
 
 
-ROW_FIELDS = ("n", "f_n", "S_n", "primitive", "form_a", "form_b2", "form_c",
-              "order_order", "order_maximal", "h_order", "h_maximal",
-              "error", "pairing_status")
+ROW_FIELDS = tuple(f.name for f in fields(SpecializationRow))
 
 
 def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,

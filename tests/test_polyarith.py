@@ -12,15 +12,11 @@ from hyperclass.polyarith import (
     IntPoly,
     RatPoly,
     clear_denominators,
-    content,
-    count_roots_leq,
     crt,
     discriminant,
     first_nonnegative,
     fixed_divisor,
     is_squarefree,
-    poly_divrem,
-    poly_gcd,
     rat_gcd,
     rat_to_int,
     rat_xgcd,
@@ -108,7 +104,6 @@ def test_content_and_primitive_part():
     # sign: primitive part keeps the sign of the input
     q = IntPoly([-6, 9, -12])
     assert q.primitive_part() == IntPoly([-2, 3, -4])
-    assert content(IntPoly([4, 8])) == 4
 
 
 def test_exact_div():
@@ -129,17 +124,6 @@ def test_ratpoly_divmod(p, q):
     quo, rem = divmod(p, q)
     assert quo * q + rem == p
     assert rem.is_zero or rem.degree < q.degree
-    quo2, rem2 = poly_divrem(p, q)
-    assert (quo2, rem2) == (quo, rem)
-
-
-def test_pseudo_divrem():
-    p = IntPoly([1, 0, 0, 0, 1])  # x^4 + 1
-    d = IntPoly([1, 3])  # 3x + 1
-    q, r, s = p.pseudo_divrem(d)
-    assert s == d.lc ** (p.degree - d.degree + 1)
-    assert IntPoly([s]) * p == q * d + r
-    assert r.degree < d.degree
 
 
 def test_rat_gcd_is_monic():
@@ -158,18 +142,6 @@ def test_rat_xgcd_bezout(p, q):
     assert s * p + t * q == g
     if not g.is_zero:
         assert g.lc == 1
-
-
-def test_poly_gcd_int():
-    a = IntPoly([-2, 1]) * IntPoly([6, 4])  # (x-2)(4x+6)
-    b = IntPoly([-2, 1]) * IntPoly([10])
-    g = poly_gcd(a, b)
-    # gcd in Z[x] keeps integer content: gcd(content) * primitive gcd
-    assert g == IntPoly([-4, 2])
-    assert poly_gcd(IntPoly.zero(), b) == IntPoly([20, -10]) or poly_gcd(
-        IntPoly.zero(), b
-    ) == b * IntPoly([-1]) or poly_gcd(IntPoly.zero(), b) == b
-    assert poly_gcd(IntPoly.zero(), IntPoly([-3])) == IntPoly([3])
 
 
 def test_clear_denominators():
@@ -233,7 +205,7 @@ def test_resultant_multiplicative(p, q, r):
 def test_resultant_zero_iff_common_factor(p, q):
     if p.is_zero or q.is_zero:
         return
-    shares = poly_gcd(p, q).degree >= 1
+    shares = rat_gcd(p.to_rational(), q.to_rational()).degree >= 1
     assert (resultant(p, q) == 0) == shares
 
 
@@ -262,18 +234,6 @@ def test_squarefree_part():
     # result is primitive with positive leading coefficient
     q = squarefree_part(IntPoly([0, 0, -18]))
     assert q == IntPoly([0, 1])
-
-
-def test_count_roots_leq():
-    p = IntPoly([0, -1, 0, 1])  # x^3 - x, roots -1, 0, 1
-    assert count_roots_leq(p, -2) == 0
-    assert count_roots_leq(p, -1) == 1
-    assert count_roots_leq(p, 0) == 2
-    assert count_roots_leq(p, 1) == 3
-    assert count_roots_leq(p, 100) == 3
-    # double root counted once (Sturm counts distinct roots)
-    q = IntPoly([1, 2, 1])
-    assert count_roots_leq(q, 0) == 1
 
 
 def test_first_nonnegative_examples():

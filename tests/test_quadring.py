@@ -4,6 +4,7 @@ deliberately separate from the production single-pass implementation."""
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from hyperclass.errors import (
     DivisibilityError,
     FactorizationBoundError,
     NonInvertibleError,
+    OrderBoundError,
 )
 from hyperclass.quadring import (
     ConductorData,
@@ -271,6 +273,13 @@ def test_ideal_class_orders():
     assert three.order() == 3
     assert three.inverse() == IdealClass.from_form(IntBinaryForm(2, -1, 3))
     assert IdealClass.identity(-20).order() == 1
+
+
+def test_class_order_cap_is_a_resource_limit():
+    three = IdealClass.from_form(IntBinaryForm(2, 1, 3))  # disc -23
+    assert three.order(cap=3) == 3
+    with pytest.raises(OrderBoundError):
+        three.order(cap=2)
 
 
 def test_class_order_divides_class_number():
@@ -603,6 +612,9 @@ def test_class_number_disc_numpy_path_agrees(monkeypatch):
     got = [class_number_disc(v) for v in vals]
     assert got == want
     assert class_number_disc(-20) == 2
+    # without numpy the import fails and the pure-Python path runs
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert [class_number_disc(v) for v in vals] == want
 
 
 # --- conductors and the pushforward ------------------------------------------

@@ -10,6 +10,7 @@ from hyperclass import specialize
 from hyperclass.errors import (
     InternalInconsistencyError,
     NotPrimitiveError,
+    OrderBoundError,
     PositiveValueError,
 )
 from hyperclass.integral_forms import coprime_shift, to_alt_mumford
@@ -388,6 +389,24 @@ def test_find_order_at_least_propagates_inconsistency(monkeypatch):
     monkeypatch.setattr(specialize, "push_to_maximal", broken)
     with pytest.raises(InternalInconsistencyError, match="planted"):
         find_order_at_least(CURVE, Q, 2, -50)
+
+
+def test_order_cap_skips_n_and_lands_in_the_row(monkeypatch):
+    # the class at n = -1 (maximal discriminant -20) hits the order cap
+    order = IdealClass.order
+
+    def capped(self, cap=10 ** 7):
+        if self.disc == -20:
+            raise OrderBoundError("planted")
+        return order(self, cap)
+    monkeypatch.setattr(IdealClass, "order", capped)
+    calls = []
+    got = find_order_at_least(CURVE, Q, 2, -5,
+                              progress=lambda n, o: calls.append((n, o)))
+    assert got == -3
+    assert calls == [(1, 1), (0, None), (-1, None), (-2, None), (-3, 3)]
+    (row,) = scan(CURVE, Q, -1, -1)
+    assert row.error == "OrderBoundError: planted"
 
 
 def test_find_order_rejects_bad_k():
