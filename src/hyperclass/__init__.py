@@ -64,6 +64,7 @@ from .quadring import (
     ideal_mul,
     ideal_norm,
     ideal_to_class,
+    kernel_order,
     push_to_maximal,
     reduce_form,
     square_part,

@@ -349,6 +349,9 @@ def compose(F1: IntBinaryForm, F2: IntBinaryForm) -> IntBinaryForm:
     return _class_from_hnf(disc, a, t).rep
 
 
+ORDER_CAP = 10 ** 7
+
+
 @dataclass(frozen=True)
 class IdealClass:
     """A class of invertible ideals, held as its SL2-reduced form."""
@@ -378,19 +381,81 @@ class IdealClass:
     def inverse(self) -> "IdealClass":
         return IdealClass(self.disc, reduce_form(self.rep.conjugate()))
 
-    def order(self, cap: int = 10 ** 7) -> int:
+    def __pow__(self, k: int) -> "IdealClass":
+        """The k-th power, by square-and-multiply; k < 0 goes through
+        inverse()."""
+        if k < 0:
+            return self.inverse() ** -k
+        acc = principal_form(self.disc) if k == 0 else None
+        base = self.rep
+        while k:
+            if k & 1:
+                acc = base if acc is None else compose(acc, base)
+            k >>= 1
+            if k:
+                base = compose(base, base)
+        return IdealClass(self.disc, acc)
+
+    def order(self, cap: int = ORDER_CAP) -> int:
         """Least k >= 1 with the k-th power trivial; OrderBoundError when
-        it exceeds cap."""
-        if self.is_trivial:
+        it exceeds cap.
+
+        Shanks' baby-step giant-step with a doubling step s.  The baby
+        table maps the inverse of x^j to j for 0 <= j < s, so a giant step
+        at x^e tests the exponents e, ..., e + s - 1 at once; e advances
+        by s, and s doubles once e passes s^2.  Every exponent below e has
+        been ruled out by then, so the order is at least s when the table
+        is hit, the block holds one multiple of it, and the first hit
+        gives the order itself.
+        """
+        one = principal_form(self.disc)
+        x = self.rep
+        if x == one:
             return 1
-        acc = self
+        x_inv = self.inverse().rep
+        babies = {one: 0}
+        baby = one                  # x^-(s - 1)
+        s, step = 1, x              # step = x^s
+        e, giant = 1, x             # giant = x^e
+        while True:
+            j = babies.get(giant)
+            if j is not None and e + j <= cap:
+                return e + j
+            # a hit past the cap, or every exponent up to the cap ruled out
+            if j is not None or e + s - 1 >= cap:
+                raise OrderBoundError(f"class order exceeds the cap {cap}")
+            giant = compose(giant, step)
+            e += s
+            if e > s * s:
+                for j in range(s, 2 * s):
+                    baby = compose(baby, x_inv)
+                    babies[baby] = j
+                step = compose(step, step)
+                s *= 2
+
+    def order_dividing(self, m: int) -> int:
+        """Order of a class whose m-th power is trivial, m >= 1.
+
+        For each prime power p^e exactly dividing m, x^(m/p^e) has order
+        p^f with f <= e, found by raising it to the p-th power until it is
+        trivial; the order is the product of those p^f.  The result is
+        checked by one more power, so an m whose power is not trivial
+        raises InternalInconsistencyError instead of a wrong order.
+        """
+        if m < 1:
+            raise ValueError(f"m = {m} must be positive")
+        one = principal_form(self.disc)
         k = 1
-        while not acc.is_trivial:
-            acc = acc * self
-            k += 1
-            if k > cap:
-                raise OrderBoundError(
-                    f"class order exceeds the cap {cap}")
+        for p, e in factorint(m).items():
+            y = self ** (m // p ** e)
+            for _ in range(e):
+                if y.rep == one:
+                    break
+                y = y ** p
+                k *= p
+        if (self ** k).rep != one:
+            raise InternalInconsistencyError(
+                f"the {m}-th power of {self} is not trivial")
         return k
 
     def __str__(self):
@@ -607,21 +672,19 @@ def push_to_maximal(I: QuadIdeal, cd: ConductorData) -> IdealClass:
     return _class_from_hnf(disc, a, t)
 
 
-def class_number_from_conductor(cd: ConductorData,
-                                h_max: int | None = None,
-                                factor_bound: int = 10 ** 6) -> int:
-    """h of the order of discriminant 4*cd.value via the conductor formula.
+def kernel_order(cd: ConductorData, factor_bound: int = 10 ** 6) -> int:
+    """Order h(O)/h(O_K) of the kernel of Pic(O) -> Pic(O_K), where O is
+    the order of discriminant 4*cd.value and m its conductor:
 
-    h(O) = h_K * m * prod_{p | m} (1 - (disc_max|p)/p) / [O_K^* : O^*],
-    with unit index 3 for disc_max = -3, 2 for -4, 1 otherwise.
+        m * prod_{p | m} (1 - (disc_max|p)/p) / [O_K^* : O^*],
+
+    with unit index 3 for disc_max = -3, 2 for -4, 1 otherwise (and 1
+    when m = 1).
     """
-    if h_max is None:
-        h_max = class_number_disc(cd.disc_max)
     m = cd.conductor
     if m == 1:
-        return h_max
-    num = h_max * m
-    den = 1
+        return 1
+    num, den = m, 1
     for p in factorint(m, factor_bound):
         num *= p - kronecker(cd.disc_max, p)
         den *= p
@@ -633,3 +696,13 @@ def class_number_from_conductor(cd: ConductorData,
         raise InternalInconsistencyError(
             f"conductor formula gave non-integer {num}/{den}")
     return num // den
+
+
+def class_number_from_conductor(cd: ConductorData,
+                                h_max: int | None = None,
+                                factor_bound: int = 10 ** 6) -> int:
+    """h of the order of discriminant 4*cd.value via the conductor formula,
+    h(O) = h_K * kernel_order(cd)."""
+    if h_max is None:
+        h_max = class_number_disc(cd.disc_max)
+    return h_max * kernel_order(cd, factor_bound)

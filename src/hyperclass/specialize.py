@@ -37,12 +37,14 @@ from .errors import (
     HyperclassError,
     InternalInconsistencyError,
     NotPrimitiveError,
+    OrderBoundError,
     PositiveValueError,
 )
 from .integral_forms import AltMumfordForm, coprime_shift, to_alt_mumford
 from .jacobian import MumfordDivisor
 from .polyarith import fixed_divisor
 from .quadring import (
+    ORDER_CAP,
     ConductorData,
     IdealClass,
     QuadIdeal,
@@ -52,6 +54,7 @@ from .quadring import (
     extend_ideal,
     factorint,
     ideal_to_class,
+    kernel_order,
     push_to_maximal,
     square_part,
 )
@@ -165,7 +168,15 @@ class Specialisation:
 
     @cached_property
     def order_order(self) -> int:
-        return self.delta_class.order()
+        """order_maximal times the order of delta_class^order_maximal,
+        which lies in the kernel of the push to O_K, so its order divides
+        the kernel order."""
+        om = self.order_maximal
+        k = (self.delta_class ** om).order_dividing(
+            kernel_order(self.conductor, self.factor_bound))
+        if om * k > ORDER_CAP:
+            raise OrderBoundError(f"class order exceeds the cap {ORDER_CAP}")
+        return om * k
 
     @cached_property
     def order_maximal(self) -> int:

@@ -13,6 +13,7 @@ from hyperclass.errors import (
     DiscriminantMismatchError,
     DivisibilityError,
     FactorizationBoundError,
+    InternalInconsistencyError,
     NonInvertibleError,
     OrderBoundError,
 )
@@ -35,6 +36,7 @@ from hyperclass.quadring import (
     ideal_norm,
     ideal_to_class,
     is_probable_prime,
+    kernel_order,
     kronecker,
     primes_up_to,
     principal_form,
@@ -280,6 +282,70 @@ def test_class_order_cap_is_a_resource_limit():
     assert three.order(cap=3) == 3
     with pytest.raises(OrderBoundError):
         three.order(cap=2)
+
+
+def repeated_composition_order(F):
+    """Order of the class of the reduced form F, one composition a step."""
+    one = principal_form(F.disc)
+    acc, k = F, 1
+    while acc != one:
+        acc = compose(acc, F)
+        k += 1
+    return k
+
+
+def test_class_order_matches_repeated_composition():
+    for disc in range(-3, -3001, -1):
+        if disc % 4 not in (0, 1):
+            continue
+        h = class_number_disc(disc)
+        for F in enumerate_reduced_forms(disc):
+            x = IdealClass(disc, F)
+            want = repeated_composition_order(F)
+            assert x.order() == want, (disc, F)
+            assert x.order_dividing(h) == want, (disc, F)
+
+
+# (order, disc) of the class of [2, 1, (1 - disc)/8], with orders on the
+# step boundaries s - 1, s, s + 1, s^2, s^2 + s of the baby-step
+# giant-step search, for s = 2, 4, 8, 16, 32
+BOUNDARY_ORDERS = [
+    (2, -15), (3, -23), (4, -39), (5, -47), (6, -87), (7, -71), (8, -95),
+    (9, -199), (15, -239), (16, -407), (17, -383), (20, -711), (31, -719),
+    (32, -1119), (33, -839), (64, -2519), (72, -3695), (256, -43919),
+    (272, -40199), (1024, -328319), (1056, -553199),
+]
+
+
+@pytest.mark.parametrize("k, disc", BOUNDARY_ORDERS)
+def test_class_order_on_step_boundaries(k, disc):
+    x = IdealClass.from_form(IntBinaryForm(2, 1, (1 - disc) // 8))
+    assert x.disc == disc
+    assert repeated_composition_order(x.rep) == k
+    assert x.order() == k
+    assert x.order(cap=k) == k
+    with pytest.raises(OrderBoundError):
+        x.order(cap=k - 1)
+
+
+def test_class_powers():
+    x = IdealClass.from_form(IntBinaryForm(2, 1, 5490))  # order 256
+    acc = IdealClass.identity(x.disc)
+    for k in range(300):
+        assert x ** k == acc
+        assert x ** -k == (x ** k).inverse()
+        acc = acc * x
+
+
+def test_order_dividing_refuses_a_wrong_multiple():
+    three = IdealClass.from_form(IntBinaryForm(2, 1, 3))  # disc -23
+    assert three.order_dividing(12) == 3
+    assert IdealClass.identity(-23).order_dividing(1) == 1
+    for m in (1, 2, 4, 10):
+        with pytest.raises(InternalInconsistencyError):
+            three.order_dividing(m)
+    with pytest.raises(ValueError):
+        three.order_dividing(0)
 
 
 def test_class_order_divides_class_number():
@@ -680,6 +746,21 @@ def test_push_to_maximal_kernel_bound():
             above = qr.push_to_maximal(I, cd).order()
             assert below % above == 0
             assert below // above <= 4 * cd.S * cd.S
+
+
+def test_kernel_route_matches_direct_order():
+    # x^om lies in the kernel of the push, om the order of x's image; the
+    # values v cover the unit indices 3 (disc_max -3), 2 (-4) and 1
+    rng = random.Random(61)
+    for v in (-4, -12, -16, -27, -36, -48, -75, -80, -108, -144, -300):
+        cd = conductor_data(v)
+        k = kernel_order(cd)
+        assert k * class_number_disc(cd.disc_max) == class_number_disc(4 * v)
+        for _ in range(20):
+            I = random_invertible_ideal(rng, v)
+            x = ideal_to_class(I)
+            om = qr.push_to_maximal(I, cd).order()
+            assert om * (x ** om).order_dividing(k) == x.order(), (v, I)
 
 
 def test_class_number_from_conductor_matches_enumeration():

@@ -4,6 +4,8 @@ scan/search drivers."""
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperclass.curve import new_curve
 from hyperclass import specialize
@@ -20,6 +22,8 @@ from hyperclass.quadring import (
     IdealClass,
     IntBinaryForm,
     class_number_disc,
+    factorint,
+    kernel_order,
     reduce_form,
     square_part,
 )
@@ -407,6 +411,52 @@ def test_order_cap_skips_n_and_lands_in_the_row(monkeypatch):
     assert calls == [(1, 1), (0, None), (-1, None), (-2, None), (-3, 3)]
     (row,) = scan(CURVE, Q, -1, -1)
     assert row.error == "OrderBoundError: planted"
+
+
+def test_order_order_by_kernel_matches_direct_order():
+    # the kernel route against a direct search in Z[sqrt(f(n))]; n = 1 has
+    # disc_max -3, the unit index 3 case (n = 0, disc_max -4, is imprimitive)
+    form = to_alt_mumford(CURVE, Q)
+    checked = 0
+    for n in range(1, -401, -1):
+        s = specialise(form, CURVE, n)
+        if not s.primitive:
+            continue
+        assert s.order_order == s.delta_class.order(), n
+        checked += 1
+    assert checked == 201
+
+
+def test_derived_order_order_raises_past_the_cap(monkeypatch):
+    # at n = -7 the order in O is 15, three times the maximal-order 5
+    form = to_alt_mumford(CURVE, Q)
+    monkeypatch.setattr(specialize, "ORDER_CAP", 14)
+    s = specialise(form, CURVE, -7)
+    assert s.order_maximal == 5
+    with pytest.raises(OrderBoundError):
+        s.order_order
+    monkeypatch.setattr(specialize, "ORDER_CAP", 15)
+    assert specialise(form, CURVE, -7).order_order == 15
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=-20000, max_value=-2000))
+def test_orders_certified_at_large_n(n):
+    # x^m trivial and x^(m/p) not, for every prime p | m: m is the exact
+    # order, checked without the search that found it
+    s = specialise(to_alt_mumford(CURVE, Q), CURVE, n)
+    try:
+        orders = [(s.delta_class, s.order_order),
+                  (s.maximal_class, s.order_maximal)]
+    except (NotPrimitiveError, OrderBoundError):
+        assume(False)
+    for x, m in orders:
+        assert (x ** m).is_trivial
+        for p in factorint(m):
+            assert not (x ** (m // p)).is_trivial, (n, m, p)
+    ratio, rest = divmod(s.order_order, s.order_maximal)
+    assert rest == 0
+    assert kernel_order(s.conductor) % ratio == 0
 
 
 def test_find_order_rejects_bad_k():
