@@ -44,7 +44,7 @@ from .jacobian import (
     jac_smul,
 )
 from .polyarith import IntPoly, RatPoly, discriminant, fixed_divisor
-from .quadring import class_number, class_number_disc
+from .quadring import class_number
 from .specialize import ROW_FIELDS, find_order_at_least, scan, specialise
 
 
@@ -258,7 +258,7 @@ def cmd_search(args) -> int:
     print(f"form = {cls.rep}")
     print(f"disc = {cls.disc}")
     print(f"order = {stats['last_order']}")
-    print(f"class_number = {class_number_disc(s.conductor.disc_max)}")
+    print(f"class_number = {s.h_maximal}")
     return 0
 
 

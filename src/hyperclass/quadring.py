@@ -15,9 +15,14 @@ discriminant.  This covers both Z[sqrt(D)] (discriminant 4D) and maximal
 orders of odd discriminant, and the two layers meet in push_to_maximal,
 which extends an ideal of Z[sqrt(D)] to the maximal order of Q(sqrt(D)).
 
-Class numbers are obtained two independent ways: direct enumeration of
-reduced forms, and (for non-maximal orders) the conductor formula scaling
-the maximal-order class number.
+Class numbers are obtained two independent ways: counting reduced forms,
+and (for non-maximal orders) the conductor formula scaling the
+maximal-order class number.  The count reads each reduced form (a, b, c)
+off a factorisation of the principal form's value (b^2 - disc)/4 = a*c;
+the values for all b <= sqrt(-disc/3) are factored in one sieve over the
+primes up to that bound, with the square roots of disc modulo each prime
+from Tonelli-Shanks, so the count takes O(|disc|^(1/2 + eps)) steps of
+pure Python.
 """
 
 from __future__ import annotations
@@ -68,6 +73,32 @@ def kronecker(a: int, n: int) -> int:
             k = -k
         a %= n
     return k if n == 1 else 0
+
+
+def sqrt_mod(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p (Tonelli-Shanks): 0 when
+    p | n, None when n is a non-residue."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, m = p - 1, 0
+    while q % 2 == 0:
+        q, m = q // 2, m + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+    # invariant: r^2 = n*t, the order of t divides 2^(m-1), c has order 2^m
+    while t != 1:
+        k, t2 = 1, t * t % p
+        while t2 != 1:
+            k, t2 = k + 1, t2 * t2 % p
+        b = pow(c, 1 << (m - k - 1), p)
+        r, c = r * b % p, b * b % p
+        t, m = t * c % p, k
+    return r
 
 
 _SIEVE_LIMIT = 0
@@ -574,39 +605,61 @@ def class_number(D: int) -> int:
     return class_number_disc(4 * D)
 
 
-_NUMPY_THRESHOLD = 10 ** 6
-
-
 def class_number_disc(disc: int) -> int:
     """Number of classes of primitive positive-definite forms of disc < 0.
 
-    Direct enumeration of reduced forms: for each admissible middle
-    coefficient b, split (b^2 - disc)/4 = a*c over divisors a in
-    [max(b,1), sqrt(N)], counting the ambiguous boundary cases once and
-    interior pairs (b, -b) twice.
+    Counts the reduced forms (a, b, c): for each middle coefficient
+    b = s + 2i <= sqrt(-disc/3), s the parity of disc, a runs over the
+    divisors of N(b) = (b^2 - disc)/4 = a*c in [max(b, 1), sqrt(N)].  The
+    boundary cases are counted once and the interior pairs (b, -b) twice.
+    The values N(b) = i^2 + s*i + (s - disc)/4 of the principal form are
+    factored together by a sieve over the primes p <= sqrt(-disc/3): p
+    divides N(b) exactly when b = +-sqrt(disc) mod p.  Since N(b) <=
+    -disc/3, what the sieve leaves of each value is 1 or one prime.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"{disc} is not a negative discriminant")
-    use_numpy = -disc > _NUMPY_THRESHOLD and -disc < (1 << 62)
-    if use_numpy:
-        try:
-            import numpy
-        except ImportError:
-            use_numpy = False
-    count = 0
+    s = disc % 2
     b_max = isqrt(-disc // 3)
-    for b in range(disc % 2, b_max + 1, 2):
-        N = (b * b - disc) // 4
-        lo = max(b, 1)
-        hi = isqrt(N)
+    size = (b_max - s) // 2 + 1
+    c0 = (s - disc) // 4
+    values = [i * i + s * i + c0 for i in range(size)]
+    rest = values[:]
+    factors: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for p in primes_up_to(b_max):
+        if p == 2:
+            # N(b + 4) - N(b) is even, so the parity of N(b) follows i's
+            starts = {i for i in (0, 1) if i < size and values[i] % 2 == 0}
+        else:
+            r = sqrt_mod(disc, p)
+            if r is None:
+                continue
+            half = (p + 1) // 2     # the inverse of 2 mod p
+            starts = {(r - s) * half % p, (-r - s) * half % p}
+        for start in starts:
+            for i in range(start, size, p):
+                x, e = rest[i] // p, 1
+                while x % p == 0:
+                    x, e = x // p, e + 1
+                rest[i] = x
+                factors[i].append((p, e))
+    count = 0
+    for i in range(size):
+        b, N = s + 2 * i, values[i]
+        lo, hi = max(b, 1), isqrt(N)
         if hi < lo:
             continue
-        if use_numpy:
-            arr = numpy.arange(lo, hi + 1, dtype=numpy.int64)
-            divisors = arr[N % arr == 0].tolist()
-        else:
-            divisors = [a for a in range(lo, hi + 1) if N % a == 0]
+        if rest[i] > 1:
+            factors[i].append((rest[i], 1))
+        divisors = [1]
+        for p, e in factors[i]:
+            layer = divisors
+            for _ in range(e):
+                layer = [d * p for d in layer if d * p <= hi]
+                divisors += layer
         for a in divisors:
+            if a < lo:
+                continue
             c = N // a
             if gcd(gcd(a, b), c) != 1:
                 continue

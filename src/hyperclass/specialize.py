@@ -133,7 +133,8 @@ def _delta_ideal(v: ValueForm) -> QuadIdeal:
 class Specialisation:
     """The divisor class at one n: its value form, and on demand its
     primitivity, the ideal, the conductor, the classes in Z[sqrt(f(n))]
-    and in the maximal order, and their orders.
+    and in the maximal order, their orders, and the class numbers of
+    both rings.
 
     Each derived field is computed once, at first use, so a caller pays
     only for what it reads: the class in the order never factors f(n),
@@ -181,6 +182,17 @@ class Specialisation:
     @cached_property
     def order_maximal(self) -> int:
         return self.maximal_class.order()
+
+    @cached_property
+    def h_maximal(self) -> int:
+        """Class number of the maximal order."""
+        return class_number_disc(self.conductor.disc_max)
+
+    @cached_property
+    def h_order(self) -> int:
+        """Class number of Z[sqrt(f(n))], by the conductor formula."""
+        return class_number_from_conductor(self.conductor, self.h_maximal,
+                                           self.factor_bound)
 
 
 def specialise(form: AltMumfordForm, curve: OddHyperellipticCurve, n: int,
@@ -286,10 +298,8 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
         row.pairing_status = smooth_section_status(s.value.fval, fprime(n),
                                                    s.conductor.S)
         if class_numbers:
-            h_max = class_number_disc(s.conductor.disc_max)
-            row.h_maximal = h_max
-            row.h_order = class_number_from_conductor(s.conductor, h_max,
-                                                      factor_bound)
+            row.h_maximal = s.h_maximal
+            row.h_order = s.h_order
     except HyperclassError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row

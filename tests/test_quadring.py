@@ -41,6 +41,7 @@ from hyperclass.quadring import (
     primes_up_to,
     principal_form,
     reduce_form,
+    sqrt_mod,
     square_part,
     unit_ideal,
 )
@@ -299,7 +300,9 @@ def test_class_order_matches_repeated_composition():
         if disc % 4 not in (0, 1):
             continue
         h = class_number_disc(disc)
-        for F in enumerate_reduced_forms(disc):
+        forms = enumerate_reduced_forms(disc)
+        assert h == len(forms), disc
+        for F in forms:
             x = IdealClass(disc, F)
             want = repeated_composition_order(F)
             assert x.order() == want, (disc, F)
@@ -671,16 +674,34 @@ def test_class_number_for_orders():
     assert class_number(-21) == 4
 
 
-def test_class_number_disc_numpy_path_agrees(monkeypatch):
-    vals = [-1000003, -999960, -4000004]
-    want = [class_number_disc(v) for v in vals]
-    monkeypatch.setattr(qr, "_NUMPY_THRESHOLD", 10)
-    got = [class_number_disc(v) for v in vals]
-    assert got == want
-    assert class_number_disc(-20) == 2
-    # without numpy the import fails and the pure-Python path runs
+def test_class_number_disc_needs_no_numpy(monkeypatch):
+    # with numpy blocked, any import of it raises ImportError
     monkeypatch.setitem(sys.modules, "numpy", None)
-    assert [class_number_disc(v) for v in vals] == want
+    vals = [-1000003, -999960, -4000004]
+    assert [class_number_disc(v) for v in vals] == [105, 288, 1032]
+
+
+def test_sqrt_mod_against_brute_force():
+    for p in primes_up_to(2000)[1:]:
+        squares = {r * r % p for r in range(p)}
+        for n in range(p):
+            r = sqrt_mod(n, p)
+            if n == 0:
+                assert r == 0
+            elif n in squares:
+                assert r * r % p == n, (n, p)
+            else:
+                assert r is None, (n, p)
+    # p - 1 = 2^16 and 3 * 2^18: long runs of the Tonelli-Shanks loop
+    rng = random.Random(67)
+    for p in (65537, 786433):
+        for _ in range(300):
+            n = rng.randrange(-p * p, p * p)
+            r = sqrt_mod(n, p)
+            if pow(n, (p - 1) // 2, p) == p - 1:
+                assert r is None, (n, p)
+            else:
+                assert r * r % p == n % p, (n, p)
 
 
 # --- conductors and the pushforward ------------------------------------------
@@ -764,6 +785,13 @@ def test_kernel_route_matches_direct_order():
 
 
 def test_class_number_from_conductor_matches_enumeration():
-    for v in (-5, -12, -16, -20, -36, -45, -48, -80, -99):
+    # the two large v put primes of the conductor into the sieve:
+    # -1119999888 = 12^2 * -7777777 (m = S = 12) and -882485100 =
+    # 210^2 * -20011 (d = 1 mod 4, so m = 2S = 420)
+    known = {-1119999888: 20480, -882485100: 21312}
+    for v in (-5, -12, -16, -20, -36, -45, -48, -80, -99, -1119999888,
+              -882485100):
         cd = conductor_data(v)
-        assert class_number_from_conductor(cd) == class_number_disc(4 * v), v
+        h = class_number_disc(4 * v)
+        assert class_number_from_conductor(cd) == h, v
+        assert known.get(v, h) == h, v

@@ -384,6 +384,7 @@ def test_specialise_record_fields():
     assert s.maximal_class == pairing_value(CURVE, Q, -5)
     assert (s.order_order, s.order_maximal) == (6, 6)
     assert s.conductor.S == 1
+    assert s.h_order == s.h_maximal == class_number_disc(-516) == 12
     assert not specialise(to_alt_mumford(CURVE, Q), CURVE, -2).primitive
 
 
