@@ -14,6 +14,7 @@ which the specialised forms are provably far from the principal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .curve import OddHyperellipticCurve
@@ -64,13 +65,19 @@ class AltMumfordForm:
             raise ValueError("B^2 - A*C differs from e^2 * f")
 
 
+FORM_CACHE = 16
+
+
+@lru_cache(maxsize=FORM_CACHE)
 def to_alt_mumford(curve: OddHyperellipticCurve,
                    D: MumfordDivisor) -> AltMumfordForm:
     """Integral representation of a reduced Mumford pair.
 
     A is the primitive integer multiple of a with positive leading term,
     e the least positive denominator with B = e*b integral, and C the
-    exact cofactor (B^2 - e^2 f)/A.  The result is unique.
+    exact cofactor (B^2 - e^2 f)/A.  The result is unique, so it is
+    cached on the frozen (curve, D) pair: the divisor and the form are
+    checked once per divisor.  An invalid divisor is not cached.
     """
     check_divisor(curve, D)
     a, b = D.a, D.b

@@ -190,11 +190,23 @@ class IntPoly(_Poly):
         return IntPoly(v // c for v in self.coeffs)
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact quotient self / other in Z[x]; raises if division leaves a remainder."""
-        q, r = divmod(self.to_rational(), other.to_rational())
-        if not r.is_zero:
+        """Exact quotient self / other in Z[x], by long division over Z;
+        raises ValueError unless the quotient is in Z[x] with no remainder."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        d, lc = other.degree, other.lc
+        rem = list(self.coeffs)
+        quot = [0] * max(len(rem) - d, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c, r = divmod(rem[i + d], lc)
+            if r:
+                raise ValueError("inexact polynomial division")
+            quot[i] = c
+            for j, oc in enumerate(other.coeffs):
+                rem[i + j] -= c * oc
+        if any(rem):
             raise ValueError("inexact polynomial division")
-        return rat_to_int(q)
+        return IntPoly(quot)
 
 
 class RatPoly(_Poly):
@@ -263,14 +275,6 @@ def _pretty(coeffs) -> str:
         else:
             parts.append(term)
     return " ".join(parts) if parts else "0"
-
-
-def rat_to_int(p: RatPoly) -> IntPoly:
-    """Convert a RatPoly with integral coefficients to IntPoly; raises otherwise."""
-    for c in p.coeffs:
-        if c.denominator != 1:
-            raise ValueError(f"coefficient {c} is not an integer")
-    return IntPoly(c.numerator for c in p.coeffs)
 
 
 def rat_gcd(p: RatPoly, q: RatPoly) -> RatPoly:

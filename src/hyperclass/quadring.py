@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 from .errors import (
     DiscriminantMismatchError,
@@ -574,13 +575,18 @@ def extend_ideal(a: int, b: int, e: int, D: int) -> QuadIdeal:
     """Normal form of the ideal (a, e*y - b) of Z[sqrt(D)].
 
     Requires a, e positive and a | b^2 - e^2*D (so the span really is an
-    ideal); raises DivisibilityError otherwise.
+    ideal); raises DivisibilityError otherwise.  When gcd(a, e) = 1, as
+    after coprime_shift, e is a unit mod a and the ideal is (a, y - t)
+    with t = b/e mod a, read off with one modular inverse; only a span
+    with gcd(a, e) > 1 needs the Hermite reduction.
     """
     if a < 1 or e < 1:
         raise ValueError("a and e must be positive")
     if (b * b - e * e * D) % a:
         raise DivisibilityError(
             f"{a} does not divide {b}^2 - {e}^2*({D})")
+    if gcd(a, e) == 1:
+        return QuadIdeal(D, 1, a, b * pow(e, -1, a) % a)
     return ideal_from_generators(D, [(a, 0), (-b, e)])
 
 
@@ -677,7 +683,8 @@ class ConductorData:
 
     d is the square-free kernel, disc_max the discriminant of the maximal
     order of Q(sqrt(v)), and conductor the index m with 4*S^2*d =
-    m^2 * disc_max; m = 2S when d = 1 mod 4, else m = S.
+    m^2 * disc_max; m = 2S when d = 1 mod 4, else m = S.  S_factors is
+    the factorisation of S as ascending (prime, exponent) pairs.
     """
 
     value: int
@@ -685,13 +692,24 @@ class ConductorData:
     d: int
     disc_max: int
     conductor: int
+    S_factors: tuple[tuple[int, int], ...]
 
 
+CONDUCTOR_CACHE = 64
+
+
+@lru_cache(maxsize=CONDUCTOR_CACHE)
 def conductor_data(v: int, factor_bound: int = 10 ** 6) -> ConductorData:
-    """Factor v < 0 as S^2*d with d square-free and derive the maximal order."""
+    """Factor v < 0 as S^2*d with d square-free and derive the maximal order.
+
+    Cached on (v, factor_bound): a value is factored once however many
+    classes are pushed to its maximal order.  An error is not cached.
+    """
     if v >= 0:
         raise ValueError(f"v = {v} must be negative")
-    S = square_part(v, factor_bound)
+    S_factors = tuple((p, e // 2) for p, e in
+                      sorted(factorint(v, factor_bound).items()) if e > 1)
+    S = prod(p ** e for p, e in S_factors)
     d = v // (S * S)
     if d % 4 == 1:
         disc_max, m = d, 2 * S
@@ -699,7 +717,8 @@ def conductor_data(v: int, factor_bound: int = 10 ** 6) -> ConductorData:
         disc_max, m = 4 * d, S
     if 4 * S * S * d != m * m * disc_max:
         raise InternalInconsistencyError("conductor identity failed")
-    return ConductorData(value=v, S=S, d=d, disc_max=disc_max, conductor=m)
+    return ConductorData(value=v, S=S, d=d, disc_max=disc_max, conductor=m,
+                         S_factors=S_factors)
 
 
 def push_to_maximal(I: QuadIdeal, cd: ConductorData) -> IdealClass:
@@ -725,20 +744,23 @@ def push_to_maximal(I: QuadIdeal, cd: ConductorData) -> IdealClass:
     return _class_from_hnf(disc, a, t)
 
 
-def kernel_order(cd: ConductorData, factor_bound: int = 10 ** 6) -> int:
+def kernel_order(cd: ConductorData) -> int:
     """Order h(O)/h(O_K) of the kernel of Pic(O) -> Pic(O_K), where O is
     the order of discriminant 4*cd.value and m its conductor:
 
         m * prod_{p | m} (1 - (disc_max|p)/p) / [O_K^* : O^*],
 
     with unit index 3 for disc_max = -3, 2 for -4, 1 otherwise (and 1
-    when m = 1).
+    when m = 1).  The primes of m = S or 2S are read off cd.S_factors.
     """
     m = cd.conductor
     if m == 1:
         return 1
     num, den = m, 1
-    for p in factorint(m, factor_bound):
+    primes = {p for p, _ in cd.S_factors}
+    if m != cd.S:
+        primes.add(2)
+    for p in primes:
         num *= p - kronecker(cd.disc_max, p)
         den *= p
     if cd.disc_max == -3:
@@ -752,10 +774,9 @@ def kernel_order(cd: ConductorData, factor_bound: int = 10 ** 6) -> int:
 
 
 def class_number_from_conductor(cd: ConductorData,
-                                h_max: int | None = None,
-                                factor_bound: int = 10 ** 6) -> int:
+                                h_max: int | None = None) -> int:
     """h of the order of discriminant 4*cd.value via the conductor formula,
     h(O) = h_K * kernel_order(cd)."""
     if h_max is None:
         h_max = class_number_disc(cd.disc_max)
-    return h_max * kernel_order(cd, factor_bound)
+    return h_max * kernel_order(cd)

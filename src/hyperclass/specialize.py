@@ -29,7 +29,7 @@ data.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .curve import OddHyperellipticCurve
@@ -174,7 +174,7 @@ class Specialisation:
         the kernel order."""
         om = self.order_maximal
         k = (self.delta_class ** om).order_dividing(
-            kernel_order(self.conductor, self.factor_bound))
+            kernel_order(self.conductor))
         if om * k > ORDER_CAP:
             raise OrderBoundError(f"class order exceeds the cap {ORDER_CAP}")
         return om * k
@@ -191,8 +191,7 @@ class Specialisation:
     @cached_property
     def h_order(self) -> int:
         """Class number of Z[sqrt(f(n))], by the conductor formula."""
-        return class_number_from_conductor(self.conductor, self.h_maximal,
-                                           self.factor_bound)
+        return class_number_from_conductor(self.conductor, self.h_maximal)
 
 
 def specialise(form: AltMumfordForm, curve: OddHyperellipticCurve, n: int,
@@ -201,17 +200,29 @@ def specialise(form: AltMumfordForm, curve: OddHyperellipticCurve, n: int,
     return Specialisation(specialize_form(form, curve, n), factor_bound)
 
 
+SPECIALISATION_CACHE = 8
+
+
+@lru_cache(maxsize=SPECIALISATION_CACHE)
+def _specialised(curve: OddHyperellipticCurve, Q: MumfordDivisor, n: int,
+                 factor_bound: int) -> Specialisation:
+    """The record that delta_n and pairing_value on one (Q, n) share, so
+    the second call reuses the ideal the first one built.  They read only
+    the two classes from it; orders and class numbers are read from
+    specialise() records, which are never cached."""
+    return specialise(to_alt_mumford(curve, Q), curve, n, factor_bound)
+
+
 def delta_n(curve: OddHyperellipticCurve, Q: MumfordDivisor,
             n: int) -> IdealClass:
     """Class of (A(n), e*sqrt(f(n)) - B(n)) in Pic(Z[sqrt(f(n))])."""
-    return specialise(to_alt_mumford(curve, Q), curve, n).delta_class
+    return _specialised(curve, Q, n, 10 ** 6).delta_class
 
 
 def pairing_value(curve: OddHyperellipticCurve, Q: MumfordDivisor, n: int,
                   factor_bound: int = 10 ** 6) -> IdealClass:
     """Image of delta_n(Q) in the class group of the maximal order."""
-    s = specialise(to_alt_mumford(curve, Q), curve, n, factor_bound)
-    return s.maximal_class
+    return _specialised(curve, Q, n, factor_bound).maximal_class
 
 
 def check_norm_bounds(curve: OddHyperellipticCurve, Q: MumfordDivisor,

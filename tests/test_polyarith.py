@@ -18,7 +18,6 @@ from hyperclass.polyarith import (
     fixed_divisor,
     is_squarefree,
     rat_gcd,
-    rat_to_int,
     rat_xgcd,
     resultant,
     squarefree_part,
@@ -116,6 +115,25 @@ def test_exact_div():
         IntPoly([1, 1]).exact_div(IntPoly([0, 1]))
 
 
+@given(int_polys, int_polys, int_polys)
+@settings(max_examples=200)
+def test_exact_div_matches_rational_division(p, q, r):
+    # oracle: division in Q[x], whose quotient must be integral and whose
+    # remainder must vanish; p * q + r is exact only when r is a multiple
+    if q.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            p.exact_div(q)
+        return
+    n = p * q + r
+    quo, rem = divmod(n.to_rational(), q.to_rational())
+    if rem.is_zero and all(c.denominator == 1 for c in quo.coeffs):
+        assert n.exact_div(q) == IntPoly(c.numerator for c in quo.coeffs)
+    else:
+        with pytest.raises(ValueError):
+            n.exact_div(q)
+    assert (p * q).exact_div(q) == p
+
+
 @given(rat_polys, rat_polys)
 @settings(max_examples=120)
 def test_ratpoly_divmod(p, q):
@@ -148,9 +166,6 @@ def test_clear_denominators():
     p = RatPoly([Fraction(1, 6), Fraction(-2, 3)])
     q = clear_denominators(p)
     assert q == IntPoly([1, -4])
-    assert rat_to_int(IntPoly([5, 7]).to_rational()) == IntPoly([5, 7])
-    with pytest.raises(ValueError):
-        rat_to_int(p)
 
 
 def test_denominator_lcm():

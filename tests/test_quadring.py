@@ -795,3 +795,102 @@ def test_class_number_from_conductor_matches_enumeration():
         h = class_number_disc(4 * v)
         assert class_number_from_conductor(cd) == h, v
         assert known.get(v, h) == h, v
+
+
+# --- the direct extension, the conductor cache and the kernel primes ---------
+
+def test_extend_ideal_direct_matches_generators():
+    # gcd(a, e) = 1: one modular inverse gives the ideal, no Hermite step;
+    # the span's own normal form is the oracle
+    # D = t^2 mod a and b = e*t mod a make a | b^2 - e^2*D
+    rng = random.Random(67)
+    seen = 0
+    while seen < 300:
+        a = rng.randrange(1, 10 ** 6)
+        e = rng.randrange(1, 10 ** 4)
+        if math.gcd(a, e) != 1:
+            continue
+        t = rng.randrange(a)
+        D = t * t - a * rng.randrange(t * t // a + 1, t * t // a + 10 ** 6)
+        b = e * t % a + a * rng.randrange(-10 ** 6, 10 ** 6)
+        assert extend_ideal(a, b, e, D) == \
+            ideal_from_generators(D, [(a, 0), (-b, e)])
+        seen += 1
+
+
+def test_extend_ideal_coprime_needs_no_hermite_step(monkeypatch):
+    def no_hnf(rows):
+        raise AssertionError("Hermite reduction on a coprime span")
+    monkeypatch.setattr(qr, "_hnf_module", no_hnf)
+    assert extend_ideal(3, 1, 2, -5) == QuadIdeal(-5, 1, 3, 2)
+    # a shared factor of a and e still needs the general span
+    with pytest.raises(AssertionError, match="Hermite"):
+        extend_ideal(64, 48, 8, -6)
+
+
+def test_extend_ideal_general_span_still_reduced():
+    # gcd(a, e) > 1 is the raw, unshifted span: its normal form can have
+    # q > 1 and a' < a, and it must keep matching the generators' span
+    rng = random.Random(71)
+    seen = 0
+    while seen < 200:
+        D = rng.choice(DS)
+        a = rng.randrange(2, 200)
+        e = rng.randrange(2, 40)
+        b = rng.randrange(a)
+        if math.gcd(a, e) == 1 or (b * b - e * e * D) % a:
+            continue
+        assert extend_ideal(a, b, e, D) == \
+            ideal_from_generators(D, [(a, 0), (-b, e)])
+        seen += 1
+
+
+def test_conductor_data_caches_no_error():
+    # two primes past the trial-division ceiling: out of reach for a rho
+    # budget of 10, found within the default budget
+    v = -1000000007 * 1000000009
+    for _ in range(2):
+        with pytest.raises(FactorizationBoundError):
+            conductor_data(v, 10)
+    cd = conductor_data(v)
+    assert (cd.S, cd.d, cd.S_factors) == (1, v, ())
+    assert conductor_data(v) is cd
+    with pytest.raises(ValueError):
+        conductor_data(5)
+    with pytest.raises(ValueError):
+        conductor_data(5)
+
+
+def kernel_by_factoring(cd):
+    """The kernel order from a fresh factorisation of the conductor."""
+    m = cd.conductor
+    num, den = m, 1
+    for p in factorint(m):
+        num *= p - kronecker(cd.disc_max, p)
+        den *= p
+    den *= {-3: 3, -4: 2}.get(cd.disc_max, 1)
+    assert num % den == 0
+    return num // den
+
+
+def test_kernel_order_reads_the_carried_factorisation(monkeypatch):
+    # the pinned large values (m = S = 12 and m = 2S = 420) and f(n) =
+    # n^3 - 4 for every n in [-400, 1], the values of the genus-1 scan
+    values = [-1119999888, -882485100] + [n ** 3 - 4 for n in range(-400, 2)]
+    cds = [conductor_data(v) for v in values]
+    wants = [kernel_by_factoring(cd) for cd in cds]
+
+    def no_factoring(*args):
+        raise AssertionError("kernel_order factored the conductor")
+    monkeypatch.setattr(qr, "factorint", no_factoring)
+    for cd, want in zip(cds, wants):
+        assert kernel_order(cd) == want, cd.value
+    monkeypatch.undo()
+    for cd in cds:
+        primes = {p for p, _ in cd.S_factors}
+        if cd.conductor == 2 * cd.S:
+            primes.add(2)
+        assert primes == set(factorint(cd.conductor)), cd.value
+        assert dict(cd.S_factors) == factorint(cd.S), cd.value
+        assert list(cd.S_factors) == sorted(cd.S_factors)
+    assert [cd.conductor for cd in cds[:2]] == [12, 420]

@@ -11,18 +11,30 @@ from hyperclass.curve import new_curve
 from hyperclass import specialize
 from hyperclass.errors import (
     InternalInconsistencyError,
+    InvalidDivisorError,
     NotPrimitiveError,
     OrderBoundError,
     PositiveValueError,
 )
+from hyperclass import integral_forms
 from hyperclass.integral_forms import coprime_shift, to_alt_mumford
-from hyperclass.jacobian import from_point, identity, jac_neg, jac_smul
-from hyperclass.polyarith import IntPoly
+from hyperclass.jacobian import (
+    MumfordDivisor,
+    from_point,
+    identity,
+    jac_add,
+    jac_neg,
+    jac_smul,
+)
+from hyperclass.polyarith import IntPoly, RatPoly
 from hyperclass.quadring import (
     IdealClass,
     IntBinaryForm,
     class_number_disc,
+    conductor_data,
+    extend_ideal,
     factorint,
+    ideal_from_generators,
     kernel_order,
     reduce_form,
     square_part,
@@ -463,3 +475,95 @@ def test_orders_certified_at_large_n(n):
 def test_find_order_rejects_bad_k():
     with pytest.raises(ValueError):
         find_order_at_least(CURVE, Q, 0, -5)
+
+
+# --- large multiples kP: the caches and the direct ideal ---------------------
+
+# the two n of the benchmark's multiples workload, one even and one odd
+MULTIPLES_NS = (-114560, -596041)
+
+
+@pytest.fixture(scope="module")
+def multiples():
+    """kP for k = 1..112; at MULTIPLES_NS the values of 112P have about
+    2500 digits."""
+    out = [Q]
+    for _ in range(111):
+        out.append(jac_add(CURVE, out[-1], Q))
+    return out
+
+
+def test_direct_ideal_on_large_multiples(multiples):
+    # the shifted value forms of kP, against the span of the generators
+    checked = 0
+    for D in multiples:
+        form = to_alt_mumford(CURVE, D)
+        for n in MULTIPLES_NS:
+            v = specialize_form(form, CURVE, n)
+            if not is_n_primitive(v):
+                continue
+            a, b = coprime_shift(v.a_val, v.b_val, v.c_val, v.e)
+            want = ideal_from_generators(v.fval, [(abs(a), 0), (-b, v.e)])
+            assert extend_ideal(abs(a), b, v.e, v.fval) == want, (n, v.e)
+            checked += 1
+    assert checked == 168
+    assert v.a_val.bit_length() > 8000
+
+
+def test_caches_change_no_result(multiples):
+    # delta_n and pairing_value against the uncached chain, in both call
+    # orders; an imprimitive n raises from every call
+    undefined = 0
+    for D in multiples[:40]:
+        form = to_alt_mumford.__wrapped__(CURVE, D)
+        for n in (-1, -3, -7) + MULTIPLES_NS:
+            s = specialise(form, CURVE, n)
+            try:
+                want = (s.delta_class, s.maximal_class)
+            except NotPrimitiveError:
+                for f in (delta_n, pairing_value, delta_n, pairing_value):
+                    with pytest.raises(NotPrimitiveError):
+                        f(CURVE, D, n)
+                undefined += 1
+                continue
+            assert s.conductor == conductor_data.__wrapped__(s.value.fval)
+            assert pairing_value(CURVE, D, n) == want[1]
+            assert delta_n(CURVE, D, n) == want[0]
+            assert pairing_value(CURVE, D, n) == want[1]
+            assert delta_n(CURVE, D, n) == want[0]
+    # the odd multiples are imprimitive at the even n
+    assert undefined >= 20
+
+
+def test_each_divisor_is_checked_once(multiples, monkeypatch):
+    # the multiples workload's loop: delta_n then pairing_value at both n
+    calls = []
+    check = integral_forms.check_divisor
+
+    def counted(curve, D):
+        calls.append(D)
+        check(curve, D)
+    monkeypatch.setattr(integral_forms, "check_divisor", counted)
+    to_alt_mumford.cache_clear()
+    specialize._specialised.cache_clear()
+    defined = 0
+    for D in multiples:
+        for n in MULTIPLES_NS:
+            try:
+                delta_n(CURVE, D, n)
+                pairing_value(CURVE, D, n)
+            except NotPrimitiveError:
+                continue
+            defined += 1
+    assert defined == 168
+    assert len(calls) == 112
+
+
+def test_errors_are_never_cached():
+    bad = MumfordDivisor(RatPoly((-3, 1)), RatPoly((1,)))  # (3, 1) is off
+    for _ in range(2):
+        with pytest.raises(InvalidDivisorError):
+            to_alt_mumford(CURVE, bad)
+    for f in (delta_n, pairing_value, delta_n, pairing_value):
+        with pytest.raises(NotPrimitiveError):
+            f(CURVE, Q, -2)

@@ -1,0 +1,66 @@
+"""Factoring and primality against sympy, an independent implementation.
+
+sympy is a test-only dependency: without it these tests are skipped.
+"""
+
+import random
+
+import pytest
+
+from hyperclass.errors import FactorizationBoundError
+from hyperclass.quadring import conductor_data, factorint, is_probable_prime
+
+sympy = pytest.importorskip("sympy")
+
+
+def test_is_probable_prime_matches_sympy():
+    rng = random.Random(83)
+    for _ in range(200):
+        n = rng.randrange(10 ** 30)
+        assert is_probable_prime(n) == sympy.isprime(n), n
+    for _ in range(20):
+        p = sympy.randprime(10 ** 9, 2 * 10 ** 9)
+        q = sympy.nextprime(p + rng.randrange(10 ** 6))
+        assert is_probable_prime(p) and is_probable_prime(q)
+        assert not is_probable_prime(p * q)
+
+
+def test_factorint_matches_sympy():
+    # sizes spread over every bit length below 10^30, so small and large
+    # cofactors both occur.  A rho budget of 10^4 keeps the test short; a
+    # refusal is allowed only where at least two prime factors lie past
+    # the trial-division ceiling, and a larger budget must then succeed
+    rng = random.Random(89)
+    refused = []
+    for _ in range(200):
+        n = rng.randrange(1, min(10 ** 30, 2 ** rng.randrange(1, 101)))
+        want = sympy.factorint(n)
+        try:
+            assert factorint(n, 10 ** 4) == want, n
+        except FactorizationBoundError:
+            assert sum(e for p, e in want.items() if p > 10 ** 6) >= 2, n
+            refused.append(n)
+    assert len(refused) <= 20
+    for n in sorted(refused)[:1]:
+        assert factorint(n) == sympy.factorint(n)
+
+
+def test_factorint_of_two_large_primes_matches_sympy():
+    rng = random.Random(97)
+    for _ in range(20):
+        p = sympy.randprime(10 ** 9, 2 * 10 ** 9)
+        q = sympy.randprime(10 ** 9, 2 * 10 ** 9)
+        m = rng.choice((1, -1, 12, -90))
+        assert factorint(m * p * q) == sympy.factorint(abs(m * p * q))
+
+
+def test_conductor_square_part_matches_sympy():
+    # values with a planted square factor, so S > 1 is common
+    rng = random.Random(101)
+    for _ in range(100):
+        v = -rng.randrange(1, 10 ** 4) ** 2 * rng.randrange(1, 10 ** 12)
+        want = tuple((p, e // 2) for p, e in
+                     sorted(sympy.factorint(-v).items()) if e > 1)
+        cd = conductor_data(v)
+        assert cd.S_factors == want, v
+        assert cd.S ** 2 * cd.d == v and all(e == 1 for e in sympy.factorint(-cd.d).values())
