@@ -828,23 +828,6 @@ def test_extend_ideal_coprime_needs_no_hermite_step(monkeypatch):
         extend_ideal(64, 48, 8, -6)
 
 
-def test_extend_ideal_general_span_still_reduced():
-    # gcd(a, e) > 1 is the raw, unshifted span: its normal form can have
-    # q > 1 and a' < a, and it must keep matching the generators' span
-    rng = random.Random(71)
-    seen = 0
-    while seen < 200:
-        D = rng.choice(DS)
-        a = rng.randrange(2, 200)
-        e = rng.randrange(2, 40)
-        b = rng.randrange(a)
-        if math.gcd(a, e) == 1 or (b * b - e * e * D) % a:
-            continue
-        assert extend_ideal(a, b, e, D) == \
-            ideal_from_generators(D, [(a, 0), (-b, e)])
-        seen += 1
-
-
 def test_conductor_data_caches_no_error():
     # two primes past the trial-division ceiling: out of reach for a rho
     # budget of 10, found within the default budget
