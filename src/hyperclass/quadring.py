@@ -8,12 +8,18 @@ q^2*a.  Products and two-generator ideals are brought to this normal form
 by a two-column Hermite reduction.
 
 The abstract layer is the form class group of an arbitrary negative
-discriminant: positive-definite integral binary quadratic forms up to
-SL2-equivalence, composed by multiplying the corresponding module lattices
+discriminant: primitive positive-definite integral binary quadratic forms
+up to SL2-equivalence, each class held as its unique reduced form.  Forms
+are composed by the direct formula (Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 5.4.7) in one private kernel on plain
+(a, b, c) triples, which takes two modular inverses at most and then
+reduces; products, powers and the baby-step giant-step class order all
+run on it.  The kernel checks nothing: compose, IdealClass.from_form and
+IdealClass.__mul__ check the discriminants and primitivity once, at the
+public entry.  The layers meet in ideal_to_class and push_to_maximal,
+which extends an ideal of Z[sqrt(D)] to the maximal order of Q(sqrt(D))
 in the basis {1, w}, w = (s + sqrt(disc))/2 with s the parity of the
-discriminant.  This covers both Z[sqrt(D)] (discriminant 4D) and maximal
-orders of odd discriminant, and the two layers meet in push_to_maximal,
-which extends an ideal of Z[sqrt(D)] to the maximal order of Q(sqrt(D)).
+discriminant.
 
 Class numbers are obtained two independent ways: counting reduced forms,
 and (for non-maximal orders) the conductor formula scaling the
@@ -268,33 +274,88 @@ class IntBinaryForm:
         return f"[{self.a},{self.b2},{self.c}]"
 
 
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced triple -a < b <= a <= c (b >= 0 when a = c) equivalent
+    to the positive-definite form (a, b, c); no checks."""
+    while True:
+        if not -a < b <= a:
+            k = (a - b) // (2 * a)
+            c += (a * k + b) * k
+            b += 2 * a * k
+        if a <= c:
+            if a == c and b < 0:
+                b = -b
+            return a, b, c
+        a, b, c = c, -b, a
+
+
+def _compose(f: tuple[int, int, int],
+             g: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Reduced Gauss composition of two primitive positive-definite
+    triples of one discriminant; no checks.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 5.4.7,
+    with its two extended gcds taken as modular inverses: with a1 <= a2,
+    d = gcd(a1, a2) = u*a2 + v*a1 and d1 = gcd(d, (b1 + b2)/2), the
+    product is (a1*a2/d1^2, b2 + 2*(a2/d1)*r, ...) for one residue r
+    modulo a1/d1.
+    """
+    if f[0] > g[0]:
+        f, g = g, f
+    a1, b1 = f[0], f[1]
+    a2, b2, c2 = g
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d = gcd(a1, a2)
+        y1 = pow(a2 // d, -1, a1 // d)      # y1*a2 = d mod a1
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1 = gcd(s, d)
+        x2 = pow(s // d1, -1, d // d1)      # x2*s = d1 mod d
+        y2 = (x2 * s - d1) // d
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    return _reduce(v1 * v2, b2 + 2 * v2 * r,
+                   (c2 * d1 + r * (b2 + v2 * r)) // v1)
+
+
+def _power(x: tuple[int, int, int], k: int,
+           one: tuple[int, int, int]) -> tuple[int, int, int]:
+    """x^k for k >= 0 by square-and-multiply on reduced triples; one is
+    the principal triple of x's discriminant."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = x if acc is None else _compose(acc, x)
+        k >>= 1
+        if k:
+            x = _compose(x, x)
+    return one if acc is None else acc
+
+
 def reduce_form(F: IntBinaryForm) -> IntBinaryForm:
     """SL2-reduced representative of a positive-definite form."""
-    a, b, c = F.a, F.b2, F.c
     if F.disc >= 0:
         raise ValueError(f"form {F} is not definite (disc {F.disc})")
-    if a <= 0:
+    if F.a <= 0:
         raise ValueError(f"form {F} is not positive definite")
-    while True:
-        if not (-a < b <= a):
-            k = (a - b) // (2 * a)
-            c = a * k * k + b * k + c
-            b = b + 2 * a * k
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        break
-    if a == c and b < 0:
-        b = -b
-    return IntBinaryForm(a, b, c)
+    return IntBinaryForm(*_reduce(F.a, F.b2, F.c))
+
+
+def _principal(disc: int) -> tuple[int, int, int]:
+    s = disc % 2
+    return 1, s, (s - disc) // 4
 
 
 def principal_form(disc: int) -> IntBinaryForm:
     """The identity class [1, s, (s - disc)/4], s the parity of disc."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"{disc} is not a negative discriminant")
-    s = disc % 2
-    return IntBinaryForm(1, s, (s - disc) // 4)
+    return IntBinaryForm(*_principal(disc))
 
 
 def _omega_rho_sigma(disc: int) -> tuple[int, int]:
@@ -366,19 +427,21 @@ def _class_from_hnf(disc: int, a: int, t: int) -> "IdealClass":
 
 
 def compose(F1: IntBinaryForm, F2: IntBinaryForm) -> IntBinaryForm:
-    """Gauss composition of primitive positive-definite forms (same disc)."""
-    if F1.disc != F2.disc:
+    """Reduced Gauss composition of primitive positive-definite forms of
+    one discriminant."""
+    disc = F1.disc
+    if disc != F2.disc:
         raise DiscriminantMismatchError(
-            f"discriminants differ: {F1.disc} vs {F2.disc}")
+            f"discriminants differ: {disc} vs {F2.disc}")
     if not (F1.is_primitive and F2.is_primitive):
         raise NonInvertibleError("composition needs primitive forms")
-    disc = F1.disc
-    rho, sigma = _omega_rho_sigma(disc)
-    t1 = (F1.b2 + sigma) // 2 % F1.a
-    t2 = (F2.b2 + sigma) // 2 % F2.a
-    rows = _ideal_rows_product(F1.a, t1, F2.a, t2, rho, sigma)
-    _, a, t = _hnf_module(rows)
-    return _class_from_hnf(disc, a, t).rep
+    if disc >= 0 or F1.a <= 0 or F2.a <= 0:
+        raise ValueError("composition needs positive-definite forms")
+    return IntBinaryForm(*_compose(_triple(F1), _triple(F2)))
+
+
+def _triple(F: IntBinaryForm) -> tuple[int, int, int]:
+    return F.a, F.b2, F.c
 
 
 ORDER_CAP = 10 ** 7
@@ -386,7 +449,10 @@ ORDER_CAP = 10 ** 7
 
 @dataclass(frozen=True)
 class IdealClass:
-    """A class of invertible ideals, held as its SL2-reduced form."""
+    """A class of invertible ideals, held as its SL2-reduced form.
+
+    Powers and orders run on the unchecked composition kernel; from_form
+    and __mul__ (through compose) check their operands."""
 
     disc: int
     rep: IntBinaryForm
@@ -403,7 +469,8 @@ class IdealClass:
 
     @property
     def is_trivial(self) -> bool:
-        return self.rep == principal_form(self.disc)
+        """A reduced form is principal exactly when its a is 1."""
+        return self.rep.a == 1
 
     def __mul__(self, other: "IdealClass") -> "IdealClass":
         if not isinstance(other, IdealClass):
@@ -418,15 +485,8 @@ class IdealClass:
         inverse()."""
         if k < 0:
             return self.inverse() ** -k
-        acc = principal_form(self.disc) if k == 0 else None
-        base = self.rep
-        while k:
-            if k & 1:
-                acc = base if acc is None else compose(acc, base)
-            k >>= 1
-            if k:
-                base = compose(base, base)
-        return IdealClass(self.disc, acc)
+        return IdealClass(self.disc, IntBinaryForm(
+            *_power(_triple(self.rep), k, _principal(self.disc))))
 
     def order(self, cap: int = ORDER_CAP) -> int:
         """Least k >= 1 with the k-th power trivial; OrderBoundError when
@@ -440,11 +500,11 @@ class IdealClass:
         is hit, the block holds one multiple of it, and the first hit
         gives the order itself.
         """
-        one = principal_form(self.disc)
-        x = self.rep
-        if x == one:
+        x = _triple(self.rep)
+        if x[0] == 1:
             return 1
-        x_inv = self.inverse().rep
+        x_inv = _reduce(x[0], -x[1], x[2])
+        one = _principal(self.disc)
         babies = {one: 0}
         baby = one                  # x^-(s - 1)
         s, step = 1, x              # step = x^s
@@ -456,13 +516,13 @@ class IdealClass:
             # a hit past the cap, or every exponent up to the cap ruled out
             if j is not None or e + s - 1 >= cap:
                 raise OrderBoundError(f"class order exceeds the cap {cap}")
-            giant = compose(giant, step)
+            giant = _compose(giant, step)
             e += s
             if e > s * s:
                 for j in range(s, 2 * s):
-                    baby = compose(baby, x_inv)
+                    baby = _compose(baby, x_inv)
                     babies[baby] = j
-                step = compose(step, step)
+                step = _compose(step, step)
                 s *= 2
 
     def order_dividing(self, m: int) -> int:
@@ -476,16 +536,16 @@ class IdealClass:
         """
         if m < 1:
             raise ValueError(f"m = {m} must be positive")
-        one = principal_form(self.disc)
+        x, one = _triple(self.rep), _principal(self.disc)
         k = 1
         for p, e in factorint(m).items():
-            y = self ** (m // p ** e)
+            y = _power(x, m // p ** e, one)
             for _ in range(e):
-                if y.rep == one:
+                if y[0] == 1:
                     break
-                y = y ** p
+                y = _power(y, p, one)
                 k *= p
-        if (self ** k).rep != one:
+        if _power(x, k, one)[0] != 1:
             raise InternalInconsistencyError(
                 f"the {m}-th power of {self} is not trivial")
         return k
@@ -583,8 +643,11 @@ def extend_ideal(a: int, b: int, e: int, D: int) -> QuadIdeal:
     if a < 1 or e < 1:
         raise ValueError("a and e must be positive")
     if (b * b - e * e * D) % a:
+        # the entries can be far too long to print; give their sizes
         raise DivisibilityError(
-            f"{a} does not divide {b}^2 - {e}^2*({D})")
+            f"a of {a.bit_length()} bits does not divide b^2 - e^2*D "
+            f"(b, e, D of {b.bit_length()}, {e.bit_length()}, "
+            f"{D.bit_length()} bits)")
     if gcd(a, e) == 1:
         return QuadIdeal(D, 1, a, b * pow(e, -1, a) % a)
     return ideal_from_generators(D, [(a, 0), (-b, e)])

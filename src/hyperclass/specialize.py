@@ -53,6 +53,7 @@ from .quadring import (
     conductor_data,
     extend_ideal,
     factorint,
+    form_to_ideal,
     ideal_to_class,
     kernel_order,
     push_to_maximal,
@@ -164,8 +165,15 @@ class Specialisation:
 
     @cached_property
     def maximal_class(self) -> IdealClass:
-        """The image of delta_n(Q) in the class group of the maximal order."""
-        return push_to_maximal(self.ideal, self.conductor)
+        """The image of delta_n(Q) in the class group of the maximal order.
+
+        The push is a homomorphism on Pic(Z[sqrt(f(n))]), so it takes the
+        ideal of delta_class's reduced form, whose entries are near
+        sqrt|f(n)|, rather than the ideal itself, whose entries can be
+        far longer."""
+        return push_to_maximal(
+            form_to_ideal(self.delta_class.rep, self.value.fval),
+            self.conductor)
 
     @cached_property
     def order_order(self) -> int:

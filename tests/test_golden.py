@@ -48,3 +48,15 @@ def test_search_golden_bytes(tmp_path, capsys):
                    "disc = -62516\n"
                    "order = 142\n"
                    "class_number = 142\n")
+
+
+def test_large_search_golden_bytes(tmp_path, capsys):
+    # order 108410: the giant steps run well past a step of s = 256
+    out = run_stdout(tmp_path, capsys, G1,
+                     ["search", "--min-order", "100000", "--floor", "-20000"])
+    assert out == ("n = -1633\n"
+                   "f(n) = -4354703141\n"
+                   "form = [1635,4,2663427]\n"
+                   "disc = -17418812564\n"
+                   "order = 108410\n"
+                   "class_number = 108410\n")

@@ -266,6 +266,107 @@ def test_compose_rejects_imprimitive():
         compose(IntBinaryForm(2, 2, 4), IntBinaryForm(2, 2, 4))
 
 
+# --- the composition kernel against the lattice product ----------------------
+
+def lattice_compose(F1, F2):
+    """Composition as the product of the two ideals' lattices in the basis
+    {1, w}, w = (s + sqrt(disc))/2: a Hermite reduction of the four product
+    rows, read back as a form and reduced.  Shares no step with the direct
+    formula."""
+    disc = F1.disc
+    sigma = disc % 2
+    rho = (disc - sigma) // 4
+    t1 = (F1.b2 + sigma) // 2 % F1.a
+    t2 = (F2.b2 + sigma) // 2 % F2.a
+    _, a, t = qr._hnf_module(
+        qr._ideal_rows_product(F1.a, t1, F2.a, t2, rho, sigma))
+    c, rest = divmod(t * t - sigma * t - rho, a)
+    assert rest == 0
+    return reduce_form(IntBinaryForm(a, 2 * t - sigma, c))
+
+
+def assert_composes_like_lattices(F, G):
+    want = lattice_compose(F, G)
+    assert qr._compose((F.a, F.b2, F.c), (G.a, G.b2, G.c)) == \
+        (want.a, want.b2, want.c), (F, G)
+    assert compose(F, G) == want, (F, G)
+
+
+def test_compose_matches_lattices_on_all_small_pairs():
+    # every ordered pair of reduced forms, squares included
+    pairs = 0
+    for disc in range(-3, -401, -1):
+        if disc % 4 not in (0, 1):
+            continue
+        forms = enumerate_reduced_forms(disc)
+        for F in forms:
+            for G in forms:
+                assert_composes_like_lattices(F, G)
+                pairs += 1
+    assert pairs > 5000
+
+
+def random_prime_form(rng, disc, primes):
+    """A primitive form [p, b, c] of disc for a random odd prime p with
+    disc a square mod p, moved off the reduced domain by random SL2
+    steps."""
+    while True:
+        p = rng.choice(primes)
+        r = sqrt_mod(disc, p)
+        if r is None:
+            continue
+        b = r if r % 2 == disc % 2 else r + p
+        F = IntBinaryForm(p, b, (b * b - disc) // (4 * p))
+        if F.is_primitive:
+            break
+    for _ in range(rng.randrange(4)):
+        k = rng.randrange(-50, 51)
+        a, b, c = F.a, F.b2 + 2 * F.a * k, F.a * k * k + F.b2 * k + F.c
+        F = IntBinaryForm(c, -b, a) if rng.random() < 0.5 else \
+            IntBinaryForm(a, b, c)
+    return F
+
+
+def test_compose_matches_lattices_on_random_large_pairs():
+    rng = random.Random(71)
+    primes = primes_up_to(10 ** 5)[1:]
+    for _ in range(400):
+        disc = -4 * rng.randrange(1, 10 ** rng.randrange(1, 15) + 1) \
+            + rng.randrange(2)
+        F = random_prime_form(rng, disc, primes)
+        G = random_prime_form(rng, disc, primes)
+        H = compose(F, G)
+        assert F.disc == G.disc == H.disc == disc
+        for X, Y in ((F, G), (F, F), (F, F.conjugate()), (H, F), (H, H),
+                     (H, compose(H, G))):
+            assert_composes_like_lattices(X, Y)
+
+
+def test_class_loops_run_on_the_kernel_only(monkeypatch):
+    # no check, wrapper or identity form is made inside order, a power or
+    # order_dividing
+    x = IdealClass.from_form(IntBinaryForm(2, 1, 5490))  # order 256
+    want = (x ** 200).rep
+
+    def forbidden(*args):
+        raise AssertionError("called inside a class loop")
+    monkeypatch.setattr(IntBinaryForm, "is_primitive", property(forbidden))
+    monkeypatch.setattr(IntBinaryForm, "disc", property(forbidden))
+    for name in ("compose", "principal_form", "reduce_form"):
+        monkeypatch.setattr(qr, name, forbidden)
+    assert (x ** 200).rep == want
+    monkeypatch.setattr(qr, "IdealClass", forbidden)
+    assert x.order() == 256
+    assert x.order_dividing(512) == 256
+
+
+def test_compose_rejects_forms_that_are_not_positive_definite():
+    with pytest.raises(ValueError):
+        compose(IntBinaryForm(1, 1, -1), IntBinaryForm(1, 1, -1))  # disc 5
+    with pytest.raises(ValueError):
+        compose(IntBinaryForm(-1, 0, -5), IntBinaryForm(-1, 0, -5))
+
+
 def test_ideal_class_orders():
     two = IdealClass.from_form(IntBinaryForm(2, 2, 3))  # disc -20
     assert two.order() == 2
@@ -816,6 +917,12 @@ def test_extend_ideal_direct_matches_generators():
         assert extend_ideal(a, b, e, D) == \
             ideal_from_generators(D, [(a, 0), (-b, e)])
         seen += 1
+
+
+def test_extend_ideal_refusal_names_sizes_not_values():
+    # a = 10^5000 + 1 is past the int-to-str limit and does not divide 3
+    with pytest.raises(DivisibilityError, match="16610 bits"):
+        extend_ideal(10 ** 5000 + 1, 1, 1, -2)
 
 
 def test_extend_ideal_coprime_needs_no_hermite_step(monkeypatch):

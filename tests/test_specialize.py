@@ -36,6 +36,7 @@ from hyperclass.quadring import (
     factorint,
     ideal_from_generators,
     kernel_order,
+    push_to_maximal,
     reduce_form,
     square_part,
 )
@@ -508,6 +509,37 @@ def test_direct_ideal_on_large_multiples(multiples):
             checked += 1
     assert checked == 168
     assert v.a_val.bit_length() > 8000
+
+
+def assert_reduced_push_matches_raw_push(s):
+    # maximal_class pushes the ideal of the reduced form; the push of the
+    # ideal itself is the oracle
+    assert s.maximal_class == push_to_maximal(s.ideal, s.conductor), \
+        s.value.n
+
+
+def test_push_of_the_reduced_ideal_on_large_multiples(multiples):
+    checked = 0
+    for D in multiples:
+        form = to_alt_mumford(CURVE, D)
+        for n in MULTIPLES_NS:
+            s = specialise(form, CURVE, n)
+            if s.primitive:
+                assert_reduced_push_matches_raw_push(s)
+                checked += 1
+    assert checked == 168
+
+
+def test_push_of_the_reduced_ideal_on_a_window():
+    for curve, P in ((CURVE, Q), (GEN2, Q2)):
+        form = to_alt_mumford(curve, P)
+        checked = 0
+        for n in range(min(1, curve.negativity_bound), -401, -1):
+            s = specialise(form, curve, n)
+            if s.primitive:
+                assert_reduced_push_matches_raw_push(s)
+                checked += 1
+        assert checked == 201
 
 
 def test_caches_change_no_result(multiples):
