@@ -271,8 +271,8 @@ def test_compose_rejects_imprimitive():
 def lattice_compose(F1, F2):
     """Composition as the product of the two ideals' lattices in the basis
     {1, w}, w = (s + sqrt(disc))/2: a Hermite reduction of the four product
-    rows, read back as a form and reduced.  Shares no step with the direct
-    formula."""
+    rows, read back as a form and reduced.  Shares only the final
+    reduction with the direct formula."""
     disc = F1.disc
     sigma = disc % 2
     rho = (disc - sigma) // 4
