@@ -36,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import (
@@ -117,12 +118,15 @@ def primes_up_to(limit: int) -> list[int]:
     global _SIEVE_LIMIT, _SIEVE_PRIMES
     if limit > _SIEVE_LIMIT:
         new_limit = max(limit, 2 * _SIEVE_LIMIT, 1 << 10)
-        flags = bytearray([1]) * (new_limit + 1)
-        flags[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(new_limit) + 1):
-            if flags[p]:
-                flags[p * p::p] = bytearray(len(flags[p * p::p]))
-        _SIEVE_PRIMES = [i for i, f in enumerate(flags) if f]
+        # flags[i] stands for the odd number 2i + 1
+        flags = bytearray([1]) * ((new_limit + 1) // 2)
+        flags[0] = 0
+        for i in range(1, (isqrt(new_limit) + 1) // 2):
+            if flags[i]:
+                p = 2 * i + 1
+                start = p * p // 2
+                flags[start::p] = bytes(len(range(start, len(flags), p)))
+        _SIEVE_PRIMES = [2, *compress(range(1, new_limit + 1, 2), flags)]
         _SIEVE_LIMIT = new_limit
     if _SIEVE_LIMIT == limit:
         return _SIEVE_PRIMES
@@ -158,13 +162,15 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int, max_iters: int) -> int | None:
-    """One Brent-cycle factor hunt; returns a nontrivial factor or None."""
+    """Brent-cycle factor hunt over the constants c = 1, ..., 19, all of
+    them within one budget of max_iters iterations; returns a nontrivial
+    factor or None."""
     if n % 2 == 0:
         return 2
+    iters = 0
     for c in range(1, 20):
         y, m = 2, 128
         g = r = q = 1
-        iters = 0
         x = ys = y
         while g == 1:
             x = y
@@ -189,6 +195,8 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
                 g = gcd(abs(x - ys), n)
         if 1 < g < n:
             return g
+        if iters > max_iters:
+            return None
     return None
 
 
@@ -199,7 +207,8 @@ def factorint(n: int, factor_bound: int = 10 ** 6) -> dict[int, int]:
     """Prime factorisation of |n| as {prime: exponent}; n must be nonzero.
 
     Trial division up to min(10^6, isqrt), then Miller-Rabin plus a
-    Brent-style rho with an iteration budget of factor_bound.  A survivor
+    Brent-style rho with an iteration budget of factor_bound for each
+    composite, shared by every constant the rho tries on it.  A survivor
     beyond the budget raises FactorizationBoundError instead of guessing.
     """
     n = abs(n)
@@ -572,12 +581,16 @@ class QuadIdeal:
             raise ValueError(f"D = {self.D} must be negative")
         if self.q < 1 or self.a < 1:
             raise ValueError("q and a must be positive")
+        # a, b and b^2 - D can be far too long to print; give their sizes
         if not (0 <= self.b < self.a):
-            raise ValueError(f"b = {self.b} out of range [0, {self.a})")
+            raise ValueError(
+                f"b of {self.b.bit_length()} bits is out of range [0, a) "
+                f"for a of {self.a.bit_length()} bits")
         if (self.b * self.b - self.D) % self.a:
             raise ValueError(
-                f"a = {self.a} does not divide b^2 - D = "
-                f"{self.b * self.b - self.D}")
+                f"a of {self.a.bit_length()} bits does not divide b^2 - D "
+                f"(b, D of {self.b.bit_length()}, {self.D.bit_length()} "
+                f"bits)")
 
     def __str__(self):
         inner = f"({self.a}, y - {self.b})"

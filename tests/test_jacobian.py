@@ -1,6 +1,7 @@
 """Jacobian group law in Mumford coordinates, checked against an
 independent chord-and-tangent oracle on a genus-1 curve."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from hyperclass.jacobian import (
     jac_neg,
     jac_smul,
 )
-from hyperclass.polyarith import IntPoly, RatPoly
+from hyperclass.polyarith import IntPoly, RatPoly, rat_xgcd
 
 CURVE = new_curve(IntPoly([-4, 0, 0, 1]))  # y^2 = x^3 - 4
 GEN2 = new_curve(IntPoly([-1, 1, 0, 0, 0, 1]))  # y^2 = x^5 + x - 1
@@ -158,3 +159,172 @@ def test_from_point_validates():
 
     with pytest.raises(PointNotOnCurveError):
         from_point(CURVE, 3, 3)
+
+
+# --- the coprime path and the integral divisor check -------------------------
+
+GEN2B = new_curve(IntPoly([1, -1, 0, 0, 0, 1]))  # y^2 = x^5 - x + 1
+GEN3 = new_curve(IntPoly([1, -1, 0, 0, 0, 0, 0, 1]))  # y^2 = x^7 - x + 1
+# both curves pass through (x, +-1) for x = -1, 0, 1
+SMALL_POINTS = [(x, y) for x in (-1, 0, 1) for y in (1, -1)]
+
+
+def cantor_general(curve, D1, D2):
+    """Cantor's composition with both extended gcds, the three-product
+    numerator and a full division in each reduction step."""
+    f = curve.f.to_rational()
+    a1, b1, a2, b2 = D1.a, D1.b, D2.a, D2.b
+    d1, e1, e2 = rat_xgcd(a1, a2)
+    d, c1, c2 = rat_xgcd(d1, b1 + b2)
+    a = (a1 * a2) // (d * d)
+    num = c1 * (e1 * a1 * b2 + e2 * a2 * b1) + c2 * (b1 * b2 + f)
+    b = (num // d) % a
+    while a.degree > curve.genus:
+        a = ((f - b * b) // a).monic()
+        b = (-b) % a
+    return MumfordDivisor(a.monic(), b % a if a.degree > 0 else RatPoly.zero())
+
+
+def rational_check(curve, D):
+    """Whether a | b^2 - f, by the Fraction remainder."""
+    return ((D.b * D.b - curve.f.to_rational()) % D.a).is_zero
+
+
+@pytest.fixture(scope="module")
+def multiples():
+    """kP for k = 1..112 on y^2 = x^3 - 4, P = (2, 2)."""
+    P = from_point(CURVE, 2, 2)
+    out = [P]
+    for _ in range(111):
+        out.append(jac_add(CURVE, out[-1], P))
+    return out
+
+
+def test_multiples_match_chord_tangent_and_general_formula(multiples):
+    P = (Fraction(2), Fraction(2))
+    want = None
+    for k, D in enumerate(multiples[:40], start=1):
+        want = ct_add(-4, 0, 0, want, P)
+        assert mumford_xy(D) == want, k
+    for k in range(1, 112):
+        assert multiples[k] == cantor_general(CURVE, multiples[k - 1],
+                                              multiples[0]), k
+
+
+def test_random_pairs_of_multiples_genus1(multiples):
+    rng = random.Random(113)
+    for _ in range(60):
+        i, j = rng.randrange(1, 57), rng.randrange(1, 57)
+        Di = multiples[i - 1]
+        Dj = multiples[j - 1] if rng.random() < 0.7 \
+            else jac_neg(CURVE, multiples[j - 1])
+        got = jac_add(CURVE, Di, Dj)
+        assert got == cantor_general(CURVE, Di, Dj), (i, j)
+        k = i + j if Dj == multiples[j - 1] else i - j
+        assert got == (multiples[k - 1] if k > 0 else
+                       jac_neg(CURVE, multiples[-k - 1]) if k < 0
+                       else identity()), (i, j)
+
+
+@pytest.mark.parametrize("curve", [GEN2B, GEN3], ids=["genus2", "genus3"])
+def test_random_pairs_genus2_and_3(curve):
+    pts = [from_point(curve, x, y) for x, y in SMALL_POINTS]
+    rng = random.Random(127 + curve.genus)
+
+    def random_divisor():
+        D = identity()
+        for _ in range(rng.randrange(1, 2 * curve.genus + 2)):
+            D = cantor_general(curve, D, rng.choice(pts))
+        return D
+
+    for _ in range(40):
+        D1, D2 = random_divisor(), random_divisor()
+        for E1, E2 in ((D1, D2), (D1, D1), (D1, jac_neg(curve, D1))):
+            got = jac_add(curve, E1, E2)
+            check_divisor(curve, got)
+            assert got == cantor_general(curve, E1, E2)
+
+
+def test_supports_that_meet():
+    # genus 2: a shared root with equal y (a double point) and with
+    # opposite y (the pair cancels there), then the identity
+    P0, P1 = from_point(GEN2B, 0, 1), from_point(GEN2B, 1, 1)
+    P1n, Pm = from_point(GEN2B, 1, -1), from_point(GEN2B, -1, 1)
+    D1 = jac_add(GEN2B, P0, P1)
+    assert D1.a.degree == 2
+    cases = [(D1, jac_add(GEN2B, P1, Pm)), (D1, jac_add(GEN2B, P1n, Pm)),
+             (D1, D1), (D1, jac_neg(GEN2B, D1)), (D1, identity()),
+             (identity(), D1), (identity(), identity()), (P0, P1)]
+    for E1, E2 in cases:
+        got = jac_add(GEN2B, E1, E2)
+        check_divisor(GEN2B, got)
+        assert got == cantor_general(GEN2B, E1, E2)
+    assert jac_add(GEN2B, jac_add(GEN2B, D1, jac_add(GEN2B, P1n, Pm)),
+                   jac_neg(GEN2B, P0)) == Pm
+    assert jac_add(GEN2B, D1, jac_neg(GEN2B, D1)) == identity()
+
+
+def test_coprime_supports_take_one_cofactor(multiples, monkeypatch):
+    # kP + P for k >= 2 has coprime supports: no extended gcd with both
+    # cofactors
+    import hyperclass.jacobian as jac
+
+    def no_xgcd(p, q):
+        raise AssertionError("rat_xgcd on coprime supports")
+    monkeypatch.setattr(jac, "rat_xgcd", no_xgcd)
+    P, D = multiples[0], multiples[1]
+    for k in range(2, 112):
+        D = jac_add(CURVE, D, P)
+        assert D == multiples[k]
+    # doubling shares the whole support and takes the general formula
+    with pytest.raises(AssertionError, match="rat_xgcd"):
+        jac_add(CURVE, P, P)
+
+
+def test_check_divisor_accepts_every_multiple(multiples):
+    for D in multiples:
+        check_divisor(CURVE, D)
+    assert multiples[-1].a.coeffs[0].denominator.bit_length() > 4000
+
+
+def test_check_divisor_rejects_wrong_denominators(multiples):
+    # the numerators of a valid pair, over other denominators: a | b^2 - f
+    # fails only through the denominators
+    D3 = multiples[2]  # (x - 106/9, 1090/27)
+    x = RatPoly.x()
+    for a, b in ((x - Fraction(106, 9), RatPoly([Fraction(1090, 9)])),
+                 (x - Fraction(106, 3), RatPoly([Fraction(1090, 27)])),
+                 (x - 106, RatPoly([1090])),
+                 (x - Fraction(106, 9), RatPoly([Fraction(1090, 81)]))):
+        assert MumfordDivisor(a, b) != D3
+        with pytest.raises(InvalidDivisorError, match="does not divide"):
+            check_divisor(CURVE, MumfordDivisor(a, b))
+    # the integral check against the Fraction remainder: scale the
+    # numerator or the denominator of one coefficient of a valid pair
+    rng = random.Random(131)
+    cases = [(CURVE, D) for D in multiples[:30]]
+    pts = [from_point(GEN2B, px, py) for px, py in SMALL_POINTS]
+    for _ in range(30):
+        D = identity()
+        for _ in range(rng.randrange(2, 6)):
+            D = jac_add(GEN2B, D, rng.choice(pts))
+        cases.append((GEN2B, D))
+    rejected = 0
+    for curve, D in cases:
+        for poly in ("a", "b"):
+            p = getattr(D, poly)
+            if p.degree < 1 and poly == "a":
+                continue
+            cs = list(p.coeffs) or [Fraction(0)]
+            i = rng.randrange(len(cs) - (poly == "a"))
+            s = Fraction(rng.choice((2, 3, 5, 7)))
+            cs[i] = cs[i] * s if rng.random() < 0.5 else cs[i] / s
+            bad = MumfordDivisor(RatPoly(cs), D.b) if poly == "a" \
+                else MumfordDivisor(D.a, RatPoly(cs))
+            if rational_check(curve, bad):
+                check_divisor(curve, bad)
+                continue
+            rejected += 1
+            with pytest.raises(InvalidDivisorError, match="does not divide"):
+                check_divisor(curve, bad)
+    assert rejected >= 100

@@ -173,6 +173,24 @@ def test_factorint_bound_error():
         factorint(p * q, factor_bound=10)
 
 
+def test_factor_bound_covers_every_rho_constant(monkeypatch):
+    # the rho calls gcd once per block of 128 steps: a budget shared by all
+    # its constants bounds the calls, where a budget per constant would
+    # allow 19 times as many before the refusal
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return math.gcd(*args)
+
+    monkeypatch.setattr(qr, "gcd", counted)
+    bound = 10 ** 5
+    with pytest.raises(FactorizationBoundError):
+        factorint((2 ** 61 - 1) * 2305843009213693967, factor_bound=bound)
+    assert calls <= 2 * bound // 128 + 64
+
+
 def test_square_part_and_squarefree():
     assert square_part(12) == 2
     assert square_part(-12) == 2
@@ -923,6 +941,14 @@ def test_extend_ideal_refusal_names_sizes_not_values():
     # a = 10^5000 + 1 is past the int-to-str limit and does not divide 3
     with pytest.raises(DivisibilityError, match="16610 bits"):
         extend_ideal(10 ** 5000 + 1, 1, 1, -2)
+
+
+def test_quad_ideal_refusal_names_sizes_not_values():
+    # a = 10^5000 + 1 is past the int-to-str limit and does not divide 3
+    with pytest.raises(ValueError, match="a of 16610 bits does not divide"):
+        QuadIdeal(-2, 1, 10 ** 5000 + 1, 1)
+    with pytest.raises(ValueError, match="b of 16610 bits is out of range"):
+        QuadIdeal(-2, 1, 3, 10 ** 5000 + 1)
 
 
 def test_extend_ideal_coprime_needs_no_hermite_step(monkeypatch):

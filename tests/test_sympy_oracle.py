@@ -7,10 +7,31 @@ import random
 
 import pytest
 
+import hyperclass.quadring as qr
 from hyperclass.errors import FactorizationBoundError
-from hyperclass.quadring import conductor_data, factorint, is_probable_prime
+from hyperclass.quadring import (
+    conductor_data,
+    factorint,
+    is_probable_prime,
+    primes_up_to,
+)
 
 sympy = pytest.importorskip("sympy")
+
+
+def test_primes_up_to_matches_sympy(monkeypatch):
+    # an empty cache first grows to 2^10, then to each larger limit or
+    # twice the cached one; smaller limits read a prefix of the cache
+    monkeypatch.setattr(qr, "_SIEVE_LIMIT", 0)
+    monkeypatch.setattr(qr, "_SIEVE_PRIMES", [])
+    for limit in (1, 2, 3, 30, 1023, 1024, 1031, 1500, 2049, 2048, 5000,
+                  99991, 10 ** 5 + 2, 2 * 10 ** 5 + 1, 17):
+        assert primes_up_to(limit) == list(sympy.primerange(limit + 1)), limit
+    # a fresh sieve straight to an odd or even limit
+    for limit in (1025, 4096, 10 ** 5 + 3):
+        monkeypatch.setattr(qr, "_SIEVE_LIMIT", 0)
+        monkeypatch.setattr(qr, "_SIEVE_PRIMES", [])
+        assert primes_up_to(limit) == list(sympy.primerange(limit + 1)), limit
 
 
 def test_is_probable_prime_matches_sympy():
