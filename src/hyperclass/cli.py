@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from .config import ExperimentConfig, load_config
@@ -90,7 +91,16 @@ def _poly_list(p) -> str:
 
 
 def _format_divisor(D: MumfordDivisor) -> str:
-    return f"{_poly_list(D.a)};{_poly_list(D.b)}"
+    # exact coefficients can pass Python's int-to-str digit limit (3.10.7
+    # and later); lift it for this conversion only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return f"{_poly_list(D.a)};{_poly_list(D.b)}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _parse_divisor_operand(text: str,
@@ -179,6 +189,15 @@ def _emit_rows(rows, fmt: str, out) -> None:
 # subcommands
 
 
+def _config_with_flags(args) -> ExperimentConfig:
+    """The config file's values with every given flag laid over them; the
+    flag dests are the ExperimentConfig field names."""
+    cfg = load_config(args.config)
+    given = {f.name: getattr(args, f.name) for f in fields(cfg)
+             if getattr(args, f.name, None) is not None}
+    return replace(cfg, **given)
+
+
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     curve = curve_from_config(cfg)
@@ -196,42 +215,30 @@ def cmd_validate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config_with_flags(args)
     curve = curve_from_config(cfg)
     Q = require_divisor(cfg, curve)
-    n_from = args.n_from if args.n_from is not None else cfg.n_from
-    n_to = args.n_to if args.n_to is not None else cfg.n_to
-    if n_to is None:
-        n_to = curve.negativity_bound
-    if n_from is None:
+    n_to = cfg.n_to if cfg.n_to is not None else curve.negativity_bound
+    if cfg.n_from is None:
         raise ConfigError("scan needs a lower bound: config 'from' or --from")
-    fmt = args.format or cfg.format
-    sf_only = cfg.squarefree_only if args.squarefree_only is None \
-        else args.squarefree_only
-    bound = args.factor_bound if args.factor_bound is not None \
-        else cfg.factor_bound
-    rows = scan(curve, Q, n_from, n_to,
+    rows = scan(curve, Q, cfg.n_from, n_to,
                 class_numbers=cfg.class_numbers,
-                squarefree_only=sf_only, factor_bound=bound)
-    _emit_rows(rows, fmt, sys.stdout)
+                squarefree_only=cfg.squarefree_only,
+                factor_bound=cfg.factor_bound)
+    _emit_rows(rows, cfg.format, sys.stdout)
     return 0
 
 
 def cmd_search(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config_with_flags(args)
     curve = curve_from_config(cfg)
     Q = require_divisor(cfg, curve)
-    k = args.min_order if args.min_order is not None else cfg.min_order
+    k, floor, bound = cfg.min_order, cfg.floor, cfg.factor_bound
     if k is None:
         raise ConfigError("search needs a target: config 'min_order' "
                           "or --min-order")
-    floor = args.floor if args.floor is not None else cfg.floor
     if floor is None:
         raise ConfigError("search needs a cut-off: config 'floor' or --floor")
-    sf_only = cfg.squarefree_only if args.squarefree_only is None \
-        else args.squarefree_only
-    bound = args.factor_bound if args.factor_bound is not None \
-        else cfg.factor_bound
     stats = {"examined": 0, "defined": 0, "max_order_seen": None}
 
     def note(n, order):
@@ -243,7 +250,8 @@ def cmd_search(args) -> int:
                     or order > stats["max_order_seen"]:
                 stats["max_order_seen"] = order
 
-    n = find_order_at_least(curve, Q, k, floor, squarefree_only=sf_only,
+    n = find_order_at_least(curve, Q, k, floor,
+                            squarefree_only=cfg.squarefree_only,
                             factor_bound=bound, progress=note)
     if n is None:
         print(f"no n >= {floor} with pairing order >= {k}", file=sys.stderr)
@@ -338,6 +346,18 @@ def cmd_altmumford(args) -> int:
 # argument wiring
 
 
+def _positive_int(text: str) -> int:
+    """Flag type for the counts whose config keys must be positive."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {v}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperclass",
@@ -353,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--squarefree-only", action="store_const", const=True,
                        default=None, dest="squarefree_only",
                        help="restrict to n with f(n)/fd(f) square-free")
-        p.add_argument("--factor-bound", type=int, default=None,
+        p.add_argument("--factor-bound", type=_positive_int, default=None,
                        dest="factor_bound",
                        help="iteration budget for integer factorisation")
 
@@ -375,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search",
                        help="largest n whose pairing order reaches a target")
     add_config(p)
-    p.add_argument("--min-order", type=int, default=None, dest="min_order",
+    p.add_argument("--min-order", type=_positive_int, default=None,
+                   dest="min_order",
                    help="target order")
     p.add_argument("--floor", type=int, default=None,
                    help="lowest n to examine")

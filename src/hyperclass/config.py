@@ -12,12 +12,12 @@ Recognised keys:
     divisor_a       = [ ... ]           Mumford a-polynomial
     divisor_b       = [ ... ]           Mumford b-polynomial
     from, to        = integers          scan range (to <= negativity bound)
-    min_order       = integer           search target order
+    min_order       = integer >= 1      search target order
     floor           = integer           search lower cut-off
     format          = csv | json
     squarefree_only = true | false
     class_numbers   = true | false
-    factor_bound    = integer           factorisation work budget
+    factor_bound    = integer >= 1      factorisation work budget
 
 Exactly one of `point` or the `divisor_a`/`divisor_b` pair may be given.
 All diagnostics carry file and line number.
@@ -103,11 +103,13 @@ def _parse_format(text: str, path: str, lineno: int) -> str:
     return text
 
 
-def _parse_factor_bound(text: str, path: str, lineno: int) -> int:
-    v = _parse_int(text, path, lineno)
-    if v < 1:
-        _fail(path, lineno, "factor_bound must be positive")
-    return v
+def _parse_positive(key: str):
+    def parse(text: str, path: str, lineno: int) -> int:
+        v = _parse_int(text, path, lineno)
+        if v < 1:
+            _fail(path, lineno, f"{key} must be positive")
+        return v
+    return parse
 
 
 # config key -> (ExperimentConfig field, parser)
@@ -118,12 +120,12 @@ _KEYS = {
     "divisor_b": ("divisor_b", _parse_list),
     "from": ("n_from", _parse_int),
     "to": ("n_to", _parse_int),
-    "min_order": ("min_order", _parse_int),
+    "min_order": ("min_order", _parse_positive("min_order")),
     "floor": ("floor", _parse_int),
     "format": ("format", _parse_format),
     "squarefree_only": ("squarefree_only", _parse_bool),
     "class_numbers": ("class_numbers", _parse_bool),
-    "factor_bound": ("factor_bound", _parse_factor_bound),
+    "factor_bound": ("factor_bound", _parse_positive("factor_bound")),
 }
 
 

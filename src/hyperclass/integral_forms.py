@@ -4,11 +4,13 @@ A reduced Mumford pair (a, b) has rational coefficients.  Scaling a to a
 primitive integer polynomial A and clearing the denominator e of b gives
 the integral data (A, B, C, e) with B^2 - A*C = e^2 * f as polynomials:
 the rational quadratic form [A/e, 2B/e, C/e] has discriminant 4f and the
-triple can be evaluated at integers without leaving Z.  This module builds
-that representation, normalises specialised values so the leading entry
-becomes coprime to e (a unimodular shift), derives the congruence class of
-n on which that coprimality is automatic, and computes the threshold below
-which the specialised forms are provably far from the principal form.
+triple can be evaluated at integers without leaving Z.  check_divisor
+computes that data while it checks the divisor (C is the quotient of its
+one exact division), and to_alt_mumford wraps it.  This module also
+normalises specialised values so the leading entry becomes coprime to e
+(a unimodular shift), derives the congruence class of n on which that
+coprimality is automatic, and computes the threshold below which the
+specialised forms are provably far from the principal form.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
 from .jacobian import MumfordDivisor, check_divisor
 from .polyarith import (
     IntPoly,
-    clear_denominators,
     crt,
     first_nonnegative,
     fixed_divisor,
@@ -75,21 +76,12 @@ def to_alt_mumford(curve: OddHyperellipticCurve,
 
     A is the primitive integer multiple of a with positive leading term,
     e the least positive denominator with B = e*b integral, and C the
-    exact cofactor (B^2 - e^2 f)/A.  The result is unique, so it is
-    cached on the frozen (curve, D) pair: the divisor and the form are
-    checked once per divisor.  An invalid divisor is not cached.
+    exact cofactor (B^2 - e^2 f)/A: the quotient of check_divisor's one
+    division, so every invariant of AltMumfordForm.check holds by
+    construction.  The result is unique, so it is cached on the frozen
+    (curve, D) pair.  An invalid divisor is not cached.
     """
-    check_divisor(curve, D)
-    a, b = D.a, D.b
-    A = clear_denominators(a).primitive_part()
-    if A.lc < 0:
-        A = -A
-    e = b.denominator_lcm()
-    B = clear_denominators(b)
-    C = (B * B - curve.f * (e * e)).exact_div(A)
-    form = AltMumfordForm(A=A, B=B, C=C, e=e)
-    form.check(curve)
-    return form
+    return AltMumfordForm(*check_divisor(curve, D))
 
 
 def coprime_shift(a: int, b: int, c: int, e: int) -> tuple[int, int]:
@@ -129,7 +121,8 @@ def coprime_shift(a: int, b: int, c: int, e: int) -> tuple[int, int]:
     b2 = b + e1 * c
     if gcd(a2, e) != 1:
         raise InternalInconsistencyError(
-            f"shifted leading entry {a2} still shares a factor with e = {e}")
+            f"shifted leading entry of {a2.bit_length()} bits still shares "
+            f"a factor with e of {e.bit_length()} bits")
     return a2, b2
 
 

@@ -20,6 +20,8 @@ binary double-and-add.
 check_divisor tests a | b^2 - f over Z[x] rather than with a Fraction
 remainder: with e the common denominator of b and A = den*a primitive,
 it is A | (e*b)^2 - e^2*f (Gauss's lemma), one long division over Z.
+The division's quotient C completes the integral form (A, B, C, e) of
+the divisor, B^2 - A*C = e^2*f, which check_divisor returns.
 """
 
 from __future__ import annotations
@@ -54,8 +56,10 @@ def from_point(curve: OddHyperellipticCurve, x0, y0) -> MumfordDivisor:
     return MumfordDivisor(RatPoly((-x0, 1)), RatPoly((y0,)))
 
 
-def check_divisor(curve: OddHyperellipticCurve, D: MumfordDivisor) -> None:
-    """Raise InvalidDivisorError unless (a, b) is a reduced Mumford pair."""
+def check_divisor(curve: OddHyperellipticCurve,
+                  D: MumfordDivisor) -> tuple[IntPoly, IntPoly, IntPoly, int]:
+    """Raise InvalidDivisorError unless (a, b) is a reduced Mumford pair;
+    return its integral form (A, B, C, e) with B^2 - A*C = e^2*f."""
     a, b = D.a, D.b
     if a.is_zero or a.lc != 1:
         raise InvalidDivisorError(f"a = {a} is not monic")
@@ -65,14 +69,16 @@ def check_divisor(curve: OddHyperellipticCurve, D: MumfordDivisor) -> None:
     if not b.is_zero and b.degree >= a.degree:
         raise InvalidDivisorError(f"deg b = {b.degree} is not below deg a")
     # a | b^2 - f in Q[x] iff A | B^2 - e^2 f in Z[x], where B = e*b and
-    # A = den*a is primitive (a is monic): Gauss's lemma
+    # A = den*a is primitive (a is monic): Gauss's lemma.  lc A = den > 0,
+    # and no prime of e divides every coefficient of B
     e = b.denominator_lcm()
     A = clear_denominators(a)
     B = IntPoly((c * e).numerator for c in b.coeffs)
     try:
-        (B * B - curve.f * (e * e)).exact_div(A)
+        C = (B * B - curve.f * (e * e)).exact_div(A)
     except ValueError:
         raise InvalidDivisorError("a does not divide b^2 - f") from None
+    return A, B, C, e
 
 
 def _inverse_mod(a: RatPoly, m: RatPoly) -> RatPoly | None:

@@ -86,9 +86,13 @@ def specialize_form(form: AltMumfordForm, curve: OddHyperellipticCurve,
             f"f({n}) = {fval} >= 0; specialisation needs f(n) < 0")
     a_val, b_val, c_val = form.A(n), form.B(n), form.C(n)
     if b_val * b_val - a_val * c_val != form.e * form.e * fval:
+        # the values can be far too long to print; give their sizes
+        sizes = ", ".join(f"{name} {v.bit_length()}" for name, v in (
+            ("A(n)", a_val), ("B(n)", b_val), ("C(n)", c_val),
+            ("e", form.e), ("f(n)", fval)))
         raise InternalInconsistencyError(
-            "value form discriminant mismatch: "
-            f"{b_val}^2 - {a_val}*{c_val} != {form.e}^2*{fval}")
+            f"value form discriminant mismatch at n = {n}: "
+            f"B(n)^2 - A(n)*C(n) != e^2*f(n) (bits: {sizes})")
     return ValueForm(n=n, a_val=a_val, b_val=b_val, c_val=c_val,
                      e=form.e, fval=fval)
 

@@ -1,14 +1,21 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from hyperclass import cli, specialize
-from hyperclass.cli import main
+from hyperclass.cli import build_parser, main
 from hyperclass.config import parse_config_text
+from hyperclass.curve import new_curve
 from hyperclass.errors import ConfigError, InternalInconsistencyError
+from hyperclass.jacobian import from_point, jac_smul
+from hyperclass.polyarith import IntPoly
 from hyperclass.quadring import IdealClass
+
+CURVE = new_curve(IntPoly([-4, 0, 0, 1]))
 
 BASE = """\
 # elliptic test curve
@@ -313,6 +320,27 @@ def test_jac_smul(tmp_path, capsys):
     assert out.strip() == "[1];[0]"
 
 
+def test_jac_prints_coefficients_past_the_digit_limit(tmp_path, capsys):
+    # 160P has coefficients of over 4300 digits; the limit is lifted for
+    # the output alone and is back in force afterwards
+    cfg = write_config(tmp_path, BASE)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        ["jac", "--config", cfg, "smul", "160", "2,2"], capsys)
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    a_text, b_text = out.strip().split(";")
+    assert len(a_text) > 8600
+    D = jac_smul(CURVE, 160, from_point(CURVE, 2, 2))
+    sys.set_int_max_str_digits(0)
+    try:
+        got = ([Fraction(c) for c in a_text[1:-1].split(",")],
+               [Fraction(c) for c in b_text[1:-1].split(",")])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == (list(D.a.coeffs), list(D.b.coeffs))
+
+
 def test_jac_roundtrips_own_output(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     code, out, err = run(["jac", "--config", cfg, "smul", "0", "2,2"], capsys)
@@ -383,6 +411,45 @@ def test_config_parse_errors():
         parse_config_text("f = [1]\nwhat even is this\n", "c.cfg")
     with pytest.raises(ConfigError, match="expected an integer"):
         parse_config_text("f = [1]\nfrom = 1/2\n", "c.cfg")
+
+
+def test_nonpositive_counts_are_refused(tmp_path, capsys):
+    # flags are refused by argparse, config keys with file and line;
+    # exit 2 either way, never 1 (search exhausted) or a traceback
+    cfg = write_config(tmp_path, BASE)
+    for args in (["search", "--config", cfg, "--min-order", "0",
+                  "--floor", "-5"],
+                 ["search", "--config", cfg, "--min-order", "5",
+                  "--floor", "-5", "--factor-bound", "0"],
+                 ["scan", "--config", cfg, "--from", "-5",
+                  "--factor-bound", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+    for key in ("min_order", "factor_bound"):
+        cfg = write_config(tmp_path, BASE + f"floor = -5\n{key} = 0\n")
+        code, out, err = run(["search", "--config", cfg, "--min-order", "5"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert f"{cfg}:5: {key} must be positive" in err
+
+
+def test_flags_overlay_the_config(tmp_path):
+    cfg = write_config(tmp_path, BASE + "min_order = 3\nfloor = -5\n"
+                       "factor_bound = 10\n")
+    args = build_parser().parse_args(
+        ["search", "--config", cfg, "--min-order", "7"])
+    got = cli._config_with_flags(args)
+    assert (got.min_order, got.floor, got.factor_bound) == (7, -5, 10)
+    assert got.squarefree_only is False
+    args = build_parser().parse_args(
+        ["scan", "--config", cfg, "--to", "-2", "--format", "json",
+         "--squarefree-only", "--factor-bound", "99"])
+    got = cli._config_with_flags(args)
+    assert (got.n_from, got.n_to, got.format, got.squarefree_only,
+            got.factor_bound, got.min_order) == (None, -2, "json", True,
+                                                 99, 3)
 
 
 def test_config_comments_and_rationals():

@@ -2,6 +2,7 @@
 classes, and the nontriviality threshold."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,16 @@ from hyperclass.integral_forms import (
     nontriviality_threshold,
     to_alt_mumford,
 )
-from hyperclass.jacobian import MumfordDivisor, from_point, identity, jac_smul
-from hyperclass.polyarith import IntPoly, RatPoly
+from hyperclass.jacobian import (
+    MumfordDivisor,
+    check_divisor,
+    from_point,
+    identity,
+    jac_add,
+    jac_neg,
+    jac_smul,
+)
+from hyperclass.polyarith import IntPoly, RatPoly, clear_denominators
 
 CURVE = new_curve(IntPoly([-4, 0, 0, 1]))
 GEN2 = new_curve(IntPoly([-1, 1, 0, 0, 0, 1]))
@@ -93,6 +102,64 @@ def test_idempotent_uniqueness():
         b2 = b2 % a2 if a2.degree >= 1 else RatPoly.zero()
         F2 = to_alt_mumford(CURVE, MumfordDivisor(a2, b2))
         assert F2 == F
+
+
+# --- one construction: the form is check_divisor's division ----------------
+
+GEN3 = new_curve(IntPoly([1, -1, 0, 0, 0, 0, 0, 1]))  # y^2 = x^7 - x + 1
+
+
+def three_step_form(curve, D):
+    """The integral form built apart from the check: clear both
+    denominators again, normalise A to a primitive polynomial with a
+    positive leading term, divide for C, then check the result."""
+    check_divisor(curve, D)
+    A = clear_denominators(D.a).primitive_part()
+    if A.lc < 0:
+        A = -A
+    e = D.b.denominator_lcm()
+    B = clear_denominators(D.b)
+    C = (B * B - curve.f * (e * e)).exact_div(A)
+    form = AltMumfordForm(A=A, B=B, C=C, e=e)
+    form.check(curve)
+    return form
+
+
+def multiples_of(curve, P, ks):
+    out, D = {}, identity()
+    for k in range(max(ks) + 1):
+        out[k] = D
+        D = jac_add(curve, D, P)
+    return [out[k] if k >= 0 else jac_neg(curve, out[-k]) for k in ks]
+
+
+def random_sums_genus3(count):
+    pts = [from_point(GEN3, x, y) for x in (-1, 0, 1) for y in (1, -1)]
+    rng = random.Random(139)
+    out = []
+    for _ in range(count):
+        D = identity()
+        for _ in range(rng.randrange(1, 8)):
+            D = jac_add(GEN3, D, rng.choice(pts))
+        out.append(D)
+    return out
+
+
+@pytest.mark.parametrize("curve, divisors", [
+    (CURVE, lambda: multiples_of(CURVE, from_point(CURVE, 2, 2),
+                                 range(1, 113))),
+    (GEN2, lambda: multiples_of(GEN2, from_point(GEN2, 1, 1),
+                                range(-40, 41))),
+    (GEN3, lambda: random_sums_genus3(60)),
+], ids=["genus1-kP", "genus2-kP", "genus3-sums"])
+def test_form_matches_the_three_step_construction(curve, divisors):
+    degrees = set()
+    for D in divisors():
+        F = to_alt_mumford(curve, D)
+        assert F == three_step_form(curve, D), D
+        F.check(curve)
+        degrees.add(F.A.degree)
+    assert max(degrees) == curve.genus
 
 
 def test_form_check_rejects_bad_sign():

@@ -17,7 +17,11 @@ from hyperclass.errors import (
     PositiveValueError,
 )
 from hyperclass import integral_forms
-from hyperclass.integral_forms import coprime_shift, to_alt_mumford
+from hyperclass.integral_forms import (
+    AltMumfordForm,
+    coprime_shift,
+    to_alt_mumford,
+)
 from hyperclass.jacobian import (
     MumfordDivisor,
     from_point,
@@ -124,6 +128,15 @@ def test_imprimitive_error_names_n_for_huge_values():
         _delta_ideal(v)
     with pytest.raises(NotPrimitiveError):
         coprime_shift(v.a_val, v.b_val, v.c_val, v.e)
+
+
+def test_discriminant_mismatch_names_sizes_for_huge_values():
+    # a form with B^2 - A*C != e^2*f and A(n) past the 4300-digit limit:
+    # the refusal must still be an InternalInconsistencyError
+    F = AltMumfordForm(IntPoly([10 ** 5000 + 1, 1]), IntPoly([1]),
+                       IntPoly([1]), 1)
+    with pytest.raises(InternalInconsistencyError, match="n = -3"):
+        specialize_form(F, CURVE, -3)
 
 
 def test_delta_refuses_imprimitive_representative_over_squarefree_value():
@@ -574,7 +587,7 @@ def test_each_divisor_is_checked_once(multiples, monkeypatch):
 
     def counted(curve, D):
         calls.append(D)
-        check(curve, D)
+        return check(curve, D)
     monkeypatch.setattr(integral_forms, "check_divisor", counted)
     to_alt_mumford.cache_clear()
     specialize._specialised.cache_clear()
@@ -588,6 +601,29 @@ def test_each_divisor_is_checked_once(multiples, monkeypatch):
                 continue
             defined += 1
     assert defined == 168
+    assert len(calls) == 112
+
+
+def test_each_divisor_is_divided_once(multiples, monkeypatch):
+    # the same loop: check_divisor's division is the only exact_div, and
+    # to_alt_mumford builds the form from it
+    calls = []
+    exact_div = IntPoly.exact_div
+
+    def counted(self, other):
+        calls.append(other)
+        return exact_div(self, other)
+    monkeypatch.setattr(IntPoly, "exact_div", counted)
+    to_alt_mumford.cache_clear()
+    specialize._specialised.cache_clear()
+    conductor_data.cache_clear()
+    for D in multiples:
+        for n in MULTIPLES_NS:
+            try:
+                delta_n(CURVE, D, n)
+                pairing_value(CURVE, D, n)
+            except NotPrimitiveError:
+                continue
     assert len(calls) == 112
 
 
