@@ -10,8 +10,10 @@ Subcommands:
     jac           Jacobian arithmetic: add, neg, smul
     altmumford    integral form (A, B, C, e) of the configured divisor
 
-Exit codes: 0 success, 1 search exhausted without a hit, 2 invalid input.
-All output is deterministic for a fixed config.
+Every number the tool reads, from config keys, flags and jac operands,
+goes through the config value parsers, and exact values of any length
+are read and printed.  Exit codes: 0 success, 1 search exhausted without
+a hit, 2 invalid input.  All output is deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import csv
 import json
 import sys
 from dataclasses import fields, replace
-from fractions import Fraction
 
-from .config import ExperimentConfig, load_config
+from .config import (ExperimentConfig, load_config, parse_int, parse_list,
+                     parse_pair, parse_positive)
 from .curve import OddHyperellipticCurve, new_curve
 from .errors import (
     BadDegreeError,
@@ -91,40 +93,21 @@ def _poly_list(p) -> str:
 
 
 def _format_divisor(D: MumfordDivisor) -> str:
-    # exact coefficients can pass Python's int-to-str digit limit (3.10.7
-    # and later); lift it for this conversion only
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        return f"{_poly_list(D.a)};{_poly_list(D.b)}"
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    return f"{_poly_list(D.a)};{_poly_list(D.b)}"
 
 
 def _parse_divisor_operand(text: str,
                            curve: OddHyperellipticCurve) -> MumfordDivisor:
-    """Either 'x,y' (a point) or '[a0,a1,...];[b0,...]' (a Mumford pair)."""
-    t = text.strip()
+    """Either 'x,y' (a point) or '[a0,a1,...];[b0,...]' (a Mumford pair),
+    read as the config's pair and lists."""
+    a, semicolon, b = text.partition(";")
     try:
-        if ";" in t:
-            a_part, _, b_part = t.partition(";")
-            a_part, b_part = a_part.strip(), b_part.strip()
-            if not (a_part.startswith("[") and a_part.endswith("]")
-                    and b_part.startswith("[") and b_part.endswith("]")):
-                raise ValueError("expected [..];[..]")
-            a_coeffs = [Fraction(s) for s in a_part[1:-1].split(",") if s.strip()]
-            b_body = b_part[1:-1].strip()
-            b_coeffs = [Fraction(s) for s in b_body.split(",")] if b_body else []
-            D = MumfordDivisor(RatPoly(a_coeffs), RatPoly(b_coeffs))
+        if semicolon:
+            D = MumfordDivisor(RatPoly(parse_list(a)), RatPoly(parse_list(b)))
         else:
-            x_s, _, y_s = t.partition(",")
-            if not _:
-                raise ValueError("expected x,y")
-            D = from_point(curve, Fraction(x_s), Fraction(y_s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse divisor operand {text!r}: {exc}")
+            D = from_point(curve, *parse_pair(f"({text})"))
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse divisor operand: {exc}") from None
     check_divisor(curve, D)
     return D
 
@@ -318,10 +301,10 @@ def cmd_jac(args) -> int:
         if len(operands) != 2:
             raise ConfigError("jac smul takes k and one divisor operand")
         try:
-            k = int(operands[0])
-        except ValueError:
-            raise ConfigError(f"jac smul: k must be an integer, "
-                              f"got {operands[0]!r}")
+            k = parse_int(operands[0])
+        except ValueError as exc:
+            raise ConfigError(
+                f"jac smul: k must be an integer: {exc}") from None
         result = jac_smul(curve, k, _parse_divisor_operand(operands[1], curve))
     print(_format_divisor(result))
     return 0
@@ -346,16 +329,15 @@ def cmd_altmumford(args) -> int:
 # argument wiring
 
 
-def _positive_int(text: str) -> int:
-    """Flag type for the counts whose config keys must be positive."""
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {v}")
-    return v
+def _flag(parse):
+    """Flag type from a config value parser: argparse reports its
+    ValueError text as a usage error, with exit code 2."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--squarefree-only", action="store_const", const=True,
                        default=None, dest="squarefree_only",
                        help="restrict to n with f(n)/fd(f) square-free")
-        p.add_argument("--factor-bound", type=_positive_int, default=None,
-                       dest="factor_bound",
+        p.add_argument("--factor-bound",
+                       type=_flag(parse_positive("factor_bound")),
+                       default=None, dest="factor_bound",
                        help="iteration budget for integer factorisation")
 
     p = sub.add_parser("validate", help="check config, curve and divisor")
@@ -383,9 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="specialise over a range of n")
     add_config(p)
-    p.add_argument("--from", type=int, default=None, dest="n_from",
-                   help="lower end of the n range")
-    p.add_argument("--to", type=int, default=None, dest="n_to",
+    p.add_argument("--from", type=_flag(parse_int), default=None,
+                   dest="n_from", help="lower end of the n range")
+    p.add_argument("--to", type=_flag(parse_int), default=None,
+                   dest="n_to",
                    help="upper end of the n range (default: negativity bound)")
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="output format (default from config)")
@@ -395,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search",
                        help="largest n whose pairing order reaches a target")
     add_config(p)
-    p.add_argument("--min-order", type=_positive_int, default=None,
-                   dest="min_order",
+    p.add_argument("--min-order", type=_flag(parse_positive("min_order")),
+                   default=None, dest="min_order",
                    help="target order")
-    p.add_argument("--floor", type=int, default=None,
+    p.add_argument("--floor", type=_flag(parse_int), default=None,
                    help="lowest n to examine")
     add_scan_flags(p)
     p.set_defaults(handler=cmd_search)
@@ -411,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class-number",
                        help="class number of Z[sqrt(D)] for D < 0")
-    p.add_argument("--D", type=int, required=True,
+    p.add_argument("--D", type=_flag(parse_int), required=True,
                    help="negative non-square D")
     p.set_defaults(handler=cmd_class_number)
 
@@ -431,9 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # exact values outgrow Python's int-to-str digit limit (3.10.7 and
+    # later) both ways; lift it for this call alone
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -441,6 +429,9 @@ def main(argv=None) -> int:
     except HyperclassError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .polyarith import (
     first_nonnegative,
     fixed_divisor,
 )
-from .quadring import factorint
+from .quadring import FACTOR_BOUND, factorint
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class CongruenceData:
 
 
 def congruence_data(form: AltMumfordForm,
-                    factor_bound: int = 10 ** 6) -> CongruenceData:
+                    factor_bound: int = FACTOR_BOUND) -> CongruenceData:
     """Find (d_L, modulus, N_L) for the leading polynomial of the form.
 
     For each prime p | e the residue r_p is found by scanning; A(n)/d_L

@@ -49,6 +49,12 @@ from .errors import (
 )
 from .polyarith import xgcd
 
+# Resource limits: the default rho budget of factorint and the cap on a
+# class order.  Past them the tool raises FactorizationBoundError or
+# OrderBoundError instead of computing on.
+FACTOR_BOUND = 10 ** 6
+ORDER_CAP = 10 ** 7
+
 # ---------------------------------------------------------------------------
 # integer utilities: primality, factorisation, square parts
 
@@ -203,7 +209,7 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
 _TRIAL_CEILING = 10 ** 6
 
 
-def factorint(n: int, factor_bound: int = 10 ** 6) -> dict[int, int]:
+def factorint(n: int, factor_bound: int = FACTOR_BOUND) -> dict[int, int]:
     """Prime factorisation of |n| as {prime: exponent}; n must be nonzero.
 
     Trial division up to min(10^6, isqrt), then Miller-Rabin plus a
@@ -245,7 +251,7 @@ def factorint(n: int, factor_bound: int = 10 ** 6) -> dict[int, int]:
     return out
 
 
-def square_part(n: int, factor_bound: int = 10 ** 6) -> int:
+def square_part(n: int, factor_bound: int = FACTOR_BOUND) -> int:
     """Largest S >= 1 with S^2 dividing |n|."""
     s = 1
     for p, e in factorint(n, factor_bound).items():
@@ -281,6 +287,12 @@ class IntBinaryForm:
 
     def __str__(self):
         return f"[{self.a},{self.b2},{self.c}]"
+
+    def sizes(self) -> str:
+        """The coefficients' bit lengths, for messages: the coefficients
+        themselves can be far too long to print."""
+        return (f"[{self.a.bit_length()},{self.b2.bit_length()},"
+                f"{self.c.bit_length()}] bits")
 
 
 def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -423,16 +435,18 @@ def _ideal_rows_product(a1: int, t1: int, a2: int, t2: int,
 
 
 def _class_from_hnf(disc: int, a: int, t: int) -> "IdealClass":
+    """Class of the ideal (a, w - t) of the order of discriminant disc, for
+    a >= 1 and disc < 0, as every caller guarantees."""
     rho, sigma = _omega_rho_sigma(disc)
     b = 2 * t - sigma
-    c_num = t * t - sigma * t - rho
-    if c_num % a:
+    c, r = divmod(t * t - sigma * t - rho, a)
+    if r:
         raise InternalInconsistencyError("ideal norm does not divide the form")
-    F = IntBinaryForm(a, b, c_num // a)
-    if not F.is_primitive:
+    if gcd(gcd(a, b), c) != 1:
         raise NonInvertibleError(
-            f"ideal yields the imprimitive form {F}; not invertible")
-    return IdealClass(disc, reduce_form(F))
+            f"ideal yields an imprimitive form of "
+            f"{IntBinaryForm(a, b, c).sizes()}; not invertible")
+    return IdealClass(disc, IntBinaryForm(*_reduce(a, b, c)))
 
 
 def compose(F1: IntBinaryForm, F2: IntBinaryForm) -> IntBinaryForm:
@@ -441,7 +455,8 @@ def compose(F1: IntBinaryForm, F2: IntBinaryForm) -> IntBinaryForm:
     disc = F1.disc
     if disc != F2.disc:
         raise DiscriminantMismatchError(
-            f"discriminants differ: {disc} vs {F2.disc}")
+            f"discriminants differ (of {disc.bit_length()} and "
+            f"{F2.disc.bit_length()} bits)")
     if not (F1.is_primitive and F2.is_primitive):
         raise NonInvertibleError("composition needs primitive forms")
     if disc >= 0 or F1.a <= 0 or F2.a <= 0:
@@ -451,9 +466,6 @@ def compose(F1: IntBinaryForm, F2: IntBinaryForm) -> IntBinaryForm:
 
 def _triple(F: IntBinaryForm) -> tuple[int, int, int]:
     return F.a, F.b2, F.c
-
-
-ORDER_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -469,7 +481,7 @@ class IdealClass:
     @classmethod
     def from_form(cls, F: IntBinaryForm) -> "IdealClass":
         if not F.is_primitive:
-            raise NonInvertibleError(f"form {F} is imprimitive")
+            raise NonInvertibleError(f"form of {F.sizes()} is imprimitive")
         return cls(F.disc, reduce_form(F))
 
     @classmethod
@@ -610,7 +622,9 @@ def ideal_from_generators(D: int, gens) -> QuadIdeal:
 def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     """Product ideal, in normal form."""
     if I.D != J.D:
-        raise DiscriminantMismatchError(f"rings differ: {I.D} vs {J.D}")
+        raise DiscriminantMismatchError(
+            f"rings differ (D of {I.D.bit_length()} and "
+            f"{J.D.bit_length()} bits)")
     rows = _ideal_rows_product(I.a, I.b, J.a, J.b, I.D, 0)
     q, a, t = _hnf_module(rows)
     return QuadIdeal(I.D, I.q * J.q * q, a, t)
@@ -633,13 +647,15 @@ def form_to_ideal(F: IntBinaryForm, D: int) -> QuadIdeal:
     """
     if F.disc != 4 * D:
         raise DiscriminantMismatchError(
-            f"form disc {F.disc} is not 4*({D})")
+            f"form disc of {F.disc.bit_length()} bits is not 4*D for D of "
+            f"{D.bit_length()} bits")
     if not F.is_primitive:
-        raise NonInvertibleError(f"form {F} is imprimitive")
+        raise NonInvertibleError(f"form of {F.sizes()} is imprimitive")
     if F.b2 % 2:
-        raise ValueError(f"form {F} has odd middle coefficient")
+        raise ValueError(f"form of {F.sizes()} has odd middle coefficient")
     if F.a <= 0:
-        raise ValueError(f"form {F} has nonpositive leading coefficient")
+        raise ValueError(
+            f"form of {F.sizes()} has nonpositive leading coefficient")
     b = F.b2 // 2
     return QuadIdeal(D, 1, F.a, b % F.a)
 
@@ -775,7 +791,7 @@ CONDUCTOR_CACHE = 64
 
 
 @lru_cache(maxsize=CONDUCTOR_CACHE)
-def conductor_data(v: int, factor_bound: int = 10 ** 6) -> ConductorData:
+def conductor_data(v: int, factor_bound: int = FACTOR_BOUND) -> ConductorData:
     """Factor v < 0 as S^2*d with d square-free and derive the maximal order.
 
     Cached on (v, factor_bound): a value is factored once however many
@@ -807,7 +823,8 @@ def push_to_maximal(I: QuadIdeal, cd: ConductorData) -> IdealClass:
     """
     if cd.value != I.D:
         raise DiscriminantMismatchError(
-            f"conductor data is for {cd.value}, ideal lives over {I.D}")
+            f"conductor data is for a value of {cd.value.bit_length()} bits, "
+            f"the ideal lives over one of {I.D.bit_length()} bits")
     disc = cd.disc_max
     rho, sigma = _omega_rho_sigma(disc)
     S = cd.S

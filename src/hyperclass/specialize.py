@@ -44,6 +44,7 @@ from .integral_forms import AltMumfordForm, coprime_shift, to_alt_mumford
 from .jacobian import MumfordDivisor
 from .polyarith import fixed_divisor
 from .quadring import (
+    FACTOR_BOUND,
     ORDER_CAP,
     ConductorData,
     IdealClass,
@@ -207,7 +208,7 @@ class Specialisation:
 
 
 def specialise(form: AltMumfordForm, curve: OddHyperellipticCurve, n: int,
-               factor_bound: int = 10 ** 6) -> Specialisation:
+               factor_bound: int = FACTOR_BOUND) -> Specialisation:
     """Specialise the divisor class with integral form `form` at x = n."""
     return Specialisation(specialize_form(form, curve, n), factor_bound)
 
@@ -228,17 +229,17 @@ def _specialised(curve: OddHyperellipticCurve, Q: MumfordDivisor, n: int,
 def delta_n(curve: OddHyperellipticCurve, Q: MumfordDivisor,
             n: int) -> IdealClass:
     """Class of (A(n), e*sqrt(f(n)) - B(n)) in Pic(Z[sqrt(f(n))])."""
-    return _specialised(curve, Q, n, 10 ** 6).delta_class
+    return _specialised(curve, Q, n, FACTOR_BOUND).delta_class
 
 
 def pairing_value(curve: OddHyperellipticCurve, Q: MumfordDivisor, n: int,
-                  factor_bound: int = 10 ** 6) -> IdealClass:
+                  factor_bound: int = FACTOR_BOUND) -> IdealClass:
     """Image of delta_n(Q) in the class group of the maximal order."""
     return _specialised(curve, Q, n, factor_bound).maximal_class
 
 
 def check_norm_bounds(curve: OddHyperellipticCurve, Q: MumfordDivisor,
-                      n: int, factor_bound: int = 10 ** 6) -> bool:
+                      n: int, factor_bound: int = FACTOR_BOUND) -> bool:
     """Verify the normal-form bounds for the raw (unshifted) ideal.
 
     With d = gcd(A(n), e, B(n)) and u the leading entry of the normal form
@@ -343,7 +344,7 @@ def _descending(curve: OddHyperellipticCurve, n_hi: int, n_lo: int,
 def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
          n_lo: int, n_hi: int, *, class_numbers: bool = False,
          squarefree_only: bool = False,
-         factor_bound: int = 10 ** 6) -> list[SpecializationRow]:
+         factor_bound: int = FACTOR_BOUND) -> list[SpecializationRow]:
     """One row per n from n_hi down to n_lo (descending).
 
     n_hi must not exceed the curve's negativity bound.  With
@@ -364,7 +365,7 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
 def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
                         k: int, n_floor: int, *,
                         squarefree_only: bool = False,
-                        factor_bound: int = 10 ** 6,
+                        factor_bound: int = FACTOR_BOUND,
                         progress=None) -> int | None:
     """Largest n <= negativity bound with pairing order >= k, or None.
 

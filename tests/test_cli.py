@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperclass import cli, specialize
 from hyperclass.cli import build_parser, main
@@ -486,3 +488,150 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_jac_reads_its_own_output_past_the_digit_limit(tmp_path, capsys):
+    # 160P has coefficients of over 4300 digits; fed back as an operand
+    # it must read exactly, so 160P + P is 161P
+    cfg = write_config(tmp_path, BASE)
+    limit = sys.get_int_max_str_digits()
+    code, big, err = run(["jac", "--config", cfg, "smul", "160", "2,2"],
+                         capsys)
+    assert code == 0, err
+    code, out, err = run(["jac", "--config", cfg, "add", big.strip(), "2,2"],
+                         capsys)
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    code, expected, err = run(
+        ["jac", "--config", cfg, "smul", "161", "2,2"], capsys)
+    assert code == 0 and out == expected
+
+
+def test_flags_read_numbers_past_the_digit_limit(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    floor = "-1" + "0" * 5000
+    code, out, err = run(["search", "--config", cfg, "--min-order", "2",
+                          f"--floor={floor}"], capsys)
+    assert code == 0, err
+    assert "n = -1" in out.splitlines()
+
+
+# (subcommand, flag, config key, ExperimentConfig field)
+NUMERIC_FLAGS = [
+    ("search", "--min-order", "min_order", "min_order"),
+    ("search", "--factor-bound", "factor_bound", "factor_bound"),
+    ("search", "--floor", "floor", "floor"),
+    ("scan", "--from", "from", "n_from"),
+    ("scan", "--to", "to", "n_to"),
+]
+
+
+@pytest.mark.parametrize("value", ["4/2", "0", "-3", "1e3", "2.0", "1_000"])
+@pytest.mark.parametrize("command, flag, key, name", NUMERIC_FLAGS)
+def test_flag_and_config_key_read_alike(tmp_path, capsys, command, flag,
+                                        key, name, value):
+    # a flag and its config key accept the same values, and refuse the
+    # rest with the same text
+    cfg = write_config(tmp_path, BASE)
+    flag_value = key_value = flag_error = key_error = None
+    try:
+        args = build_parser().parse_args(
+            [command, "--config", cfg, f"{flag}={value}"])
+        flag_value = getattr(args, name)
+    except SystemExit as exc:
+        assert exc.code == 2
+        flag_error = capsys.readouterr().err.split(f"argument {flag}: ")[1]
+    try:
+        parsed = parse_config_text(BASE + f"{key} = {value}\n", "c.cfg")
+        key_value = getattr(parsed, name)
+    except ConfigError as exc:
+        key_error = str(exc).split("c.cfg:4: ")[1]
+    positive = key in ("min_order", "factor_bound")
+    accepted = value == "4/2" or (value in ("0", "-3") and not positive)
+    assert (flag_error is None) == (key_error is None) == accepted
+    assert flag_value == key_value
+    if not accepted:
+        assert flag_error.strip() == key_error
+
+
+def test_latin1_config_is_refused_with_its_file(tmp_path, capsys):
+    p = tmp_path / "latin.cfg"
+    p.write_bytes(b"f = [-4, 0, 0, 1]  # caf\xe9\npoint = (2, 2)\n")
+    code, out, err = run(["validate", "--config", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert f"cannot read config {p}" in err
+
+
+def test_messages_quote_a_bounded_head(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    operand = "[" + "7" * 25000 + "x];[1]"
+    code, out, err = run(["jac", "--config", cfg, "neg", operand], capsys)
+    assert code == 2
+    assert "cannot parse divisor operand" in err
+    assert "(25001 characters)" in err and len(err) < 300
+
+
+NUMBER = st.one_of(
+    st.integers(-60, 60).map(str),
+    st.builds("{}/{}".format, st.integers(-60, 60), st.integers(-2, 9)),
+    st.sampled_from(["1e3", "2.0", "1_000", "", "-", "1/", "/2", "x",
+                     "٣", " 5 "]),
+)
+LIST = st.lists(NUMBER, max_size=6).map(lambda xs: f"[{', '.join(xs)}]")
+PAIR = st.tuples(NUMBER, NUMBER).map(lambda p: f"({p[0]}, {p[1]})")
+CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(["from", "to", "min_order", "floor",
+                               "factor_bound"]), NUMBER),
+    st.tuples(st.sampled_from(["f", "divisor_a", "divisor_b"]), LIST),
+    st.tuples(st.just("point"), PAIR),
+    st.tuples(st.sampled_from(["format", "squarefree_only",
+                               "class_numbers"]),
+              st.sampled_from(["true", "no", "csv", "json", "maybe"])),
+    st.tuples(st.sampled_from(["f", "point", "from", "bogus"]),
+              st.text(max_size=12)),
+).map(" = ".join) | st.text(max_size=20)
+# a valid start, mostly, so that the lines after it reach the curve and
+# divisor checks; or raw bytes
+CONFIG_BYTES = st.one_of(
+    st.tuples(st.sampled_from(["", "f = [-4, 0, 0, 1]",
+                               "f = [-4, 0, 0, 1]\npoint = (2, 2)",
+                               "f = [-1, 1, 0, 0, 0, 1]\npoint = (1, 1)"]),
+              st.lists(CONFIG_LINE, max_size=3))
+    .map(lambda t: "\n".join([t[0], *t[1]]).encode("utf-8", "surrogatepass")),
+    st.binary(max_size=120),
+)
+OPERAND = st.one_of(
+    st.sampled_from(["2,2", "2,-2", "[1];[0]", "[-5,1];[-11]",
+                     "[-106/9,1];[1090/27]"]),
+    st.tuples(NUMBER, NUMBER).map(",".join),
+    st.tuples(LIST, LIST).map(";".join),
+    st.text(max_size=20),
+)
+
+
+def exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=CONFIG_BYTES,
+       command=st.sampled_from(["validate", "threshold", "altmumford"]))
+def test_any_config_exits_0_or_2(tmp_path, capsys, text, command):
+    p = tmp_path / "fuzz.cfg"
+    p.write_bytes(text)
+    assert exit_code([command, "--config", str(p)]) in (0, 2)
+    capsys.readouterr()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(first=OPERAND, second=OPERAND)
+def test_any_jac_operand_exits_0_or_2(tmp_path, capsys, first, second):
+    cfg = write_config(tmp_path, BASE)
+    assert exit_code(["jac", "--config", cfg, "neg", first]) in (0, 2)
+    assert exit_code(["jac", "--config", cfg, "add", first, second]) in (0, 2)
+    capsys.readouterr()

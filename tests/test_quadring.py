@@ -951,6 +951,51 @@ def test_quad_ideal_refusal_names_sizes_not_values():
         QuadIdeal(-2, 1, 3, 10 ** 5000 + 1)
 
 
+# N = 10^4400 + 1 is past the int-to-str limit: each refusal must raise its
+# own error type and give sizes, not fail on printing the values
+_N = 10 ** 4400 + 1
+
+
+def test_ideal_to_class_refusal_names_sizes_not_values():
+    # (2N, y - N) over D = -3N^2 gives the imprimitive form [2N, 2N, 2N]
+    with pytest.raises(NonInvertibleError, match="14618,14618,14618"):
+        ideal_to_class(QuadIdeal(-3 * _N * _N, 1, 2 * _N, _N))
+
+
+def test_from_form_refusal_names_sizes_not_values():
+    with pytest.raises(NonInvertibleError, match="14618"):
+        IdealClass.from_form(IntBinaryForm(2 * _N, 2 * _N, 2 * _N))
+
+
+def test_compose_refusal_names_sizes_not_values():
+    with pytest.raises(DiscriminantMismatchError, match="29235 and 2 bits"):
+        compose(IntBinaryForm(_N, 1, _N), IntBinaryForm(1, 1, 1))
+
+
+def test_form_to_ideal_refusal_names_sizes_not_values():
+    with pytest.raises(DiscriminantMismatchError, match="29235 bits"):
+        form_to_ideal(IntBinaryForm(_N, 2, _N), -3)
+
+
+def test_ideal_mul_refusal_names_sizes_not_values():
+    with pytest.raises(DiscriminantMismatchError, match="14617 and 14617"):
+        ideal_mul(QuadIdeal(-_N, 1, 1, 0), QuadIdeal(-_N - 1, 1, 1, 0))
+
+
+def test_push_to_maximal_refusal_names_sizes_not_values():
+    with pytest.raises(DiscriminantMismatchError, match="14617 bits"):
+        qr.push_to_maximal(QuadIdeal(-_N, 1, 1, 0), conductor_data(-5))
+
+
+def test_class_from_hnf_reduces_without_reduce_form(monkeypatch):
+    # the ideal's form is reduced on the kernel's triples; reduce_form,
+    # with its disc and sign checks, is for public callers
+    def no_reduce_form(F):
+        raise AssertionError("reduce_form on an ideal's class")
+    monkeypatch.setattr(qr, "reduce_form", no_reduce_form)
+    assert ideal_to_class(QuadIdeal(-5, 1, 3, 2)).rep == IntBinaryForm(2, 2, 3)
+
+
 def test_extend_ideal_coprime_needs_no_hermite_step(monkeypatch):
     def no_hnf(rows):
         raise AssertionError("Hermite reduction on a coprime span")
