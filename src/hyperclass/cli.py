@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -225,7 +226,6 @@ def cmd_search(args) -> int:
     stats = {"examined": 0, "defined": 0, "max_order_seen": None}
 
     def note(n, order):
-        stats["last_order"] = order
         stats["examined"] += 1
         if order is not None:
             stats["defined"] += 1
@@ -241,15 +241,16 @@ def cmd_search(args) -> int:
         for key in ("examined", "defined", "max_order_seen"):
             print(f"{key} = {stats[key]}", file=sys.stderr)
         return 1
-    # the hit's order came through note(); only its class is computed here
+    # h is read before the order, which divides it out and so certifies it
     s = specialise(to_alt_mumford(curve, Q), curve, n, bound)
+    h = s.h_maximal
     cls = s.maximal_class
     print(f"n = {n}")
     print(f"f(n) = {s.value.fval}")
     print(f"form = {cls.rep}")
     print(f"disc = {cls.disc}")
-    print(f"order = {stats['last_order']}")
-    print(f"class_number = {s.h_maximal}")
+    print(f"order = {s.order_maximal}")
+    print(f"class_number = {h}")
     return 0
 
 
@@ -404,6 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=("add", "neg", "smul"))
     p.add_argument("operand", nargs="+",
                    help="divisors as 'x,y' or '[a];[b]'; smul takes k first")
+    # argparse takes only plain negative numbers for positionals; widen its
+    # test so that a point with a negative x, such as -2,2, is an operand
+    p._negative_number_matcher = re.compile(r"-\d")
     p.set_defaults(handler=cmd_jac)
 
     p = sub.add_parser("altmumford",

@@ -33,11 +33,22 @@ class OddHyperellipticCurve:
 
     def require_point(self, x0, y0) -> None:
         if not self.contains(x0, y0):
+            # the coordinates can be far too long to print; give their sizes
             raise PointNotOnCurveError(
-                f"({x0}, {y0}) does not satisfy y^2 = {self.f}")
+                f"the point with x of {_bits(x0)} and y of {_bits(y0)} does "
+                f"not satisfy y^2 = f(x), deg f = {self.f.degree}")
 
     def __str__(self):
         return f"y^2 = {self.f}"
+
+
+def _bits(v) -> str:
+    """Bit lengths of a rational's numerator and denominator."""
+    v = Fraction(v)
+    if v.denominator == 1:
+        return f"{v.numerator.bit_length()} bits"
+    return (f"{v.numerator.bit_length()}/{v.denominator.bit_length()} "
+            f"bits")
 
 
 def new_curve(f: IntPoly) -> OddHyperellipticCurve:

@@ -62,7 +62,7 @@ def check_divisor(curve: OddHyperellipticCurve,
     return its integral form (A, B, C, e) with B^2 - A*C = e^2*f."""
     a, b = D.a, D.b
     if a.is_zero or a.lc != 1:
-        raise InvalidDivisorError(f"a = {a} is not monic")
+        raise InvalidDivisorError(f"a of degree {a.degree} is not monic")
     if a.degree > curve.genus:
         raise InvalidDivisorError(
             f"deg a = {a.degree} exceeds the genus {curve.genus}")

@@ -21,18 +21,21 @@ which extends an ideal of Z[sqrt(D)] to the maximal order of Q(sqrt(D))
 in the basis {1, w}, w = (s + sqrt(disc))/2 with s the parity of the
 discriminant.
 
-Class numbers are obtained two independent ways: counting reduced forms,
-and (for non-maximal orders) the conductor formula scaling the
-maximal-order class number.  The count reads each reduced form (a, b, c)
-off a factorisation of the principal form's value (b^2 - disc)/4 = a*c;
-the values for all b <= sqrt(-disc/3) are factored in one sieve over the
-primes up to that bound, with the square roots of disc modulo each prime
-from Tonelli-Shanks, so the count takes O(|disc|^(1/2 + eps)) steps of
-pure Python.
+Class numbers are counted over the first coefficient a of the reduced
+forms.  For a fundamental discriminant the number of roots of
+b^2 = disc mod 4a is multiplicative in a, so one slice sieve over the
+primes up to sqrt(|disc|/3) gives the count for every a up to
+sqrt(|disc|)/2, where each root is one reduced form; the few a above
+that list their roots by the Chinese remainder theorem and keep those
+with c >= a.  A non-fundamental discriminant goes through the conductor
+formula, the same one that scales the maximal-order class number to
+Z[sqrt(D)].  The count takes O(|disc|^(1/2 + eps)) time and
+O(|disc|^(1/2)) memory.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -90,11 +93,15 @@ def kronecker(a: int, n: int) -> int:
 
 
 def sqrt_mod(n: int, p: int) -> int | None:
-    """A square root of n modulo the odd prime p (Tonelli-Shanks): 0 when
-    p | n, None when n is a non-residue."""
+    """A square root of n modulo the odd prime p (one power when
+    p = 3 mod 4, else Tonelli-Shanks): 0 when p | n, None when n is a
+    non-residue."""
     n %= p
     if n == 0:
         return 0
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
     if pow(n, (p - 1) // 2, p) != 1:
         return None
     q, m = p - 1, 0
@@ -706,63 +713,127 @@ def class_number(D: int) -> int:
 def class_number_disc(disc: int) -> int:
     """Number of classes of primitive positive-definite forms of disc < 0.
 
-    Counts the reduced forms (a, b, c): for each middle coefficient
-    b = s + 2i <= sqrt(-disc/3), s the parity of disc, a runs over the
-    divisors of N(b) = (b^2 - disc)/4 = a*c in [max(b, 1), sqrt(N)].  The
-    boundary cases are counted once and the interior pairs (b, -b) twice.
-    The values N(b) = i^2 + s*i + (s - disc)/4 of the principal form are
-    factored together by a sieve over the primes p <= sqrt(-disc/3): p
-    divides N(b) exactly when b = +-sqrt(disc) mod p.  Since N(b) <=
-    -disc/3, what the sieve leaves of each value is 1 or one prime.
+    With disc = f^2 * d0 and d0 fundamental, h(disc) = h(d0) times the
+    kernel factor of the conductor f (the formula of kernel_order).  Since
+    |d0| >= 3, every prime of f is at most sqrt(-disc/3), so trial
+    division by the primes up to there finds f: nothing is factored, and
+    no FactorizationBoundError can arise.  h(d0) is counted over the
+    first coefficient a by _count_reduced_forms, in O(|disc|^(1/2 + eps))
+    time and O(|disc|^(1/2)) memory.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"{disc} is not a negative discriminant")
-    s = disc % 2
-    b_max = isqrt(-disc // 3)
-    size = (b_max - s) // 2 + 1
-    c0 = (s - disc) // 4
-    values = [i * i + s * i + c0 for i in range(size)]
-    rest = values[:]
-    factors: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for p in primes_up_to(b_max):
+    d0, f, f_primes = disc, 1, []
+    for p in primes_up_to(isqrt(-disc // 3)):
+        pp, f_before = p * p, f
+        # for p = 2, d0/4 must stay a discriminant: d0/4 = 0, 1 mod 4
+        while d0 % pp == 0 and (p > 2 or d0 // 4 % 4 < 2):
+            d0, f = d0 // pp, f * p
+        if f != f_before:
+            f_primes.append(p)
+    return _count_reduced_forms(d0) * _kernel_factor(d0, f, f_primes)
+
+
+# _INC[v] = v + 1 for v >= 1, and 0 stays 0: one more split prime of a
+# live a, none for a dead one
+_INC = bytes([0, *range(2, 256), 255])
+
+
+def _count_reduced_forms(disc: int) -> int:
+    """h(disc) for a fundamental disc < 0, counted over the first
+    coefficient a of the reduced forms (a, b, c), 3a^2 <= -disc.
+
+    The number r(a) of b mod 2a with b^2 = disc mod 4a is multiplicative:
+    r(p^k) = 1 + (disc|p) for p not dividing disc, and r(p) = 1,
+    r(p^k) = 0 for k >= 2 when p divides it.  Every form is primitive,
+    since disc is fundamental.  One slice sieve over the primes
+    p <= sqrt(-disc/3) holds, for each a up to there, 0 when r(a) = 0 and
+    otherwise 1 + the number of split primes of a, so r(a) = 2^(value - 1);
+    it also records the largest non-inert prime of each a.
+
+    For 4a^2 <= -disc, each root b in (-a, a] is one reduced form, since
+    c = (b^2 - disc)/(4a) >= a holds by itself; those a add up their r(a).
+    For the a above, about 0.077*sqrt(-disc) values, the roots of each a
+    with r(a) > 0 are listed by the Chinese remainder theorem from the
+    roots modulo its prime powers, which come from the recorded primes
+    and are computed once per prime power; a root counts when c >= a,
+    and when c = a only for b >= 0.
+    """
+    a_low, a_top = isqrt(-disc // 4), isqrt(-disc // 3)
+    sieve = bytearray([1]) * (a_top + 1)
+    sieve[0] = 0
+    # largest[a]: the largest non-inert prime of a, in native 32-bit words
+    largest = memoryview(bytearray(4 * (a_top + 1))).cast("I")
+    for p in primes_up_to(a_top):
+        # kind: 1 split, -1 inert, 0 ramified; Euler's criterion for odd p
         if p == 2:
-            # N(b + 4) - N(b) is even, so the parity of N(b) follows i's
-            starts = {i for i in (0, 1) if i < size and values[i] % 2 == 0}
+            kind = (disc % 8 == 1) - (disc % 8 == 5)
+        elif disc % p == 0:
+            kind = 0
         else:
-            r = sqrt_mod(disc, p)
-            if r is None:
-                continue
-            half = (p + 1) // 2     # the inverse of 2 mod p
-            starts = {(r - s) * half % p, (-r - s) * half % p}
-        for start in starts:
-            for i in range(start, size, p):
-                x, e = rest[i] // p, 1
-                while x % p == 0:
-                    x, e = x // p, e + 1
-                rest[i] = x
-                factors[i].append((p, e))
-    count = 0
-    for i in range(size):
-        b, N = s + 2 * i, values[i]
-        lo, hi = max(b, 1), isqrt(N)
-        if hi < lo:
+            kind = 1 if pow(disc, p >> 1, p) == 1 else -1
+        if kind < 0:
+            sieve[p::p] = bytes(a_top // p)
             continue
-        if rest[i] > 1:
-            factors[i].append((rest[i], 1))
-        divisors = [1]
-        for p, e in factors[i]:
-            layer = divisors
-            for _ in range(e):
-                layer = [d * p for d in layer if d * p <= hi]
-                divisors += layer
-        for a in divisors:
-            if a < lo:
-                continue
-            c = N // a
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            count += 2 if 0 < b < a < c else 1
-    return count
+        if kind > 0:
+            sieve[p::p] = sieve[p::p].translate(_INC)
+        else:
+            pp = p * p
+            sieve[pp::pp] = bytes(a_top // pp)
+        word = p.to_bytes(4, sys.byteorder)
+        largest[p::p] = memoryview(word * (a_top // p)).cast("I")
+    h = sum(sieve.count(v, 1, a_low + 1) << (v - 1)
+            for v in range(1, a_top.bit_length() + 2))
+    roots: dict[tuple[int, int], list[int]] = {}
+    for a in compress(range(a_low + 1, a_top + 1), sieve[a_low + 1:]):
+        k = (a & -a).bit_length() - 1
+        m, M = a >> k, 2 << k
+        res = roots.get((2, k))
+        if res is None:
+            res = roots[2, k] = _roots(disc, 2, k)
+        while m > 1:
+            p, e = largest[m], 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            R = roots.get((p, e))
+            if R is None:
+                R = roots[p, e] = _roots(disc, p, e)
+            q = p ** e
+            inv = pow(M, -1, q)
+            res = [t + M * ((u - t) * inv % q) for t in res for u in R]
+            M *= q
+        four_a2 = 4 * a * a
+        for t in res:
+            b = t if t <= a else t - M
+            c4a = b * b - disc
+            h += c4a > four_a2 or (c4a == four_a2 and b >= 0)
+    return h
+
+
+def _roots(disc: int, p: int, e: int) -> list[int]:
+    """The residues for the p-part p^e of a live a that the Chinese
+    remainder theorem joins into the roots b mod 2a of b^2 = disc mod 4a:
+    for p = 2 the b mod 2^(e+1) with b^2 = disc mod 2^(e+2) (e = 0 when a
+    is odd), for odd p the b mod p^e with b^2 = disc mod p^e."""
+    if p == 2:
+        if e == 0:
+            return [disc % 2]
+        if disc % 2 == 0:       # disc = 4d and e = 1: b = 2d mod 4
+            return [disc // 2 % 4]
+        # disc = 1 mod 8: lift the root 1 mod 8 up to 2^(e+2)
+        x = 1
+        for j in range(3, e + 2):
+            if (x * x - disc) % (1 << (j + 1)):
+                x += 1 << (j - 1)
+        M = 2 << e
+        return [x % M, -x % M]
+    if disc % p == 0:
+        return [0]
+    x, q = sqrt_mod(disc, p), p
+    for _ in range(e - 1):      # Hensel: a root mod q = p^j to p^(j+1)
+        q *= p
+        x = (x - (x * x - disc) * pow(2 * x, -1, q)) % q
+    return [x, q - x]
 
 
 # ---------------------------------------------------------------------------
@@ -839,26 +910,32 @@ def push_to_maximal(I: QuadIdeal, cd: ConductorData) -> IdealClass:
 
 def kernel_order(cd: ConductorData) -> int:
     """Order h(O)/h(O_K) of the kernel of Pic(O) -> Pic(O_K), where O is
-    the order of discriminant 4*cd.value and m its conductor:
+    the order of discriminant 4*cd.value; the primes of its conductor
+    m = S or 2S are read off cd.S_factors."""
+    primes = {p for p, _ in cd.S_factors}
+    if cd.conductor != cd.S:
+        primes.add(2)
+    return _kernel_factor(cd.disc_max, cd.conductor, primes)
+
+
+def _kernel_factor(disc_max: int, m: int, primes) -> int:
+    """h(O)/h(O_K) for the order O of conductor m in the maximal order O_K
+    of discriminant disc_max, given the primes of m:
 
         m * prod_{p | m} (1 - (disc_max|p)/p) / [O_K^* : O^*],
 
     with unit index 3 for disc_max = -3, 2 for -4, 1 otherwise (and 1
-    when m = 1).  The primes of m = S or 2S are read off cd.S_factors.
+    when m = 1).
     """
-    m = cd.conductor
     if m == 1:
         return 1
     num, den = m, 1
-    primes = {p for p, _ in cd.S_factors}
-    if m != cd.S:
-        primes.add(2)
     for p in primes:
-        num *= p - kronecker(cd.disc_max, p)
+        num *= p - kronecker(disc_max, p)
         den *= p
-    if cd.disc_max == -3:
+    if disc_max == -3:
         den *= 3
-    elif cd.disc_max == -4:
+    elif disc_max == -4:
         den *= 2
     if num % den:
         raise InternalInconsistencyError(

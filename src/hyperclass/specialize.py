@@ -194,7 +194,16 @@ class Specialisation:
 
     @cached_property
     def order_maximal(self) -> int:
-        return self.maximal_class.order()
+        """Baby-step giant-step; or, once h_maximal has been read, the
+        order found by dividing it out.  That search ends with a power
+        check, so an h_maximal that the order does not divide raises
+        InternalInconsistencyError instead of being reported."""
+        if "h_maximal" not in self.__dict__:
+            return self.maximal_class.order()
+        order = self.maximal_class.order_dividing(self.h_maximal)
+        if order > ORDER_CAP:
+            raise OrderBoundError(f"class order exceeds the cap {ORDER_CAP}")
+        return order
 
     @cached_property
     def h_maximal(self) -> int:
@@ -317,6 +326,8 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
             return row
         rep = s.delta_class.rep
         row.form_a, row.form_b2, row.form_c = rep.a, rep.b2, rep.c
+        if class_numbers:
+            s.h_maximal     # read first: the orders then divide it out
         row.order_order = s.order_order
         row.order_maximal = s.order_maximal
         row.pairing_status = smooth_section_status(s.value.fval, fprime(n),

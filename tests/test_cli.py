@@ -635,3 +635,33 @@ def test_any_jac_operand_exits_0_or_2(tmp_path, capsys, first, second):
     assert exit_code(["jac", "--config", cfg, "neg", first]) in (0, 2)
     assert exit_code(["jac", "--config", cfg, "add", first, second]) in (0, 2)
     capsys.readouterr()
+
+
+def test_long_operands_get_short_messages(tmp_path, capsys):
+    # a point off the curve and a non-monic a, each with a 5000-digit
+    # entry: the message gives sizes, not the values
+    cfg = write_config(tmp_path, BASE)
+    big = "9" * 5000
+    for operand, kind in ((f"{big},1", "PointNotOnCurveError"),
+                          (f"1,1/{big}", "PointNotOnCurveError"),
+                          (f"[1,{big}];[0]", "InvalidDivisorError")):
+        code, out, err = run(["jac", "--config", cfg, "neg", operand], capsys)
+        assert code == 2 and out == ""
+        assert kind in err and len(err.encode()) < 300, err[:300]
+
+
+def test_negative_x_operand_needs_no_separator(tmp_path, capsys):
+    # y^2 = x^3 + 8 through (-2, 0) and (1, 3): an operand that starts
+    # with '-' reads as an operand, as it does after '--'
+    cfg = write_config(tmp_path, "f = [8, 0, 0, 1]\npoint = (1, 3)\n")
+    for args in (["neg", "-2,0"], ["add", "-2,0", "1,3"],
+                 ["add", "1,3", "-2,0"], ["smul", "3", "-2,0"],
+                 ["smul", "-3", "1,3"]):
+        code, out, err = run(["jac", "--config", cfg, *args], capsys)
+        assert code == 0, err
+        code2, out2, err2 = run(["jac", "--config", cfg, args[0], "--",
+                                 *args[1:]], capsys)
+        assert (code2, out2) == (0, out), err2
+    code, out, err = run(["jac", "--config", cfg, "add", "-2,0", "1,3"],
+                         capsys)
+    assert out.strip() == "[-2,1];[-4]"

@@ -635,3 +635,33 @@ def test_errors_are_never_cached():
     for f in (delta_n, pairing_value, delta_n, pairing_value):
         with pytest.raises(NotPrimitiveError):
             f(CURVE, Q, -2)
+
+
+def test_class_numbers_certify_h_in_each_row(monkeypatch):
+    # with class numbers on, the order divides h out; an h that the order
+    # does not divide is refused in the row instead of being reported
+    good = scan(CURVE, Q, -20, -1, class_numbers=True)
+    monkeypatch.setattr(specialize, "class_number_disc", lambda disc: 1)
+    bad = scan(CURVE, Q, -20, -1, class_numbers=True)
+    refused = 0
+    for g, b in zip(good, bad):
+        if g.order_maximal is not None and g.order_maximal > 1:
+            assert b.error.startswith("InternalInconsistencyError"), g.n
+            assert b.h_maximal is None and b.order_maximal is None
+            refused += 1
+    assert refused > 5
+
+
+def test_class_number_route_keeps_the_order_cap(monkeypatch):
+    good = scan(CURVE, Q, -20, -1, class_numbers=True)
+    monkeypatch.setattr(specialize, "ORDER_CAP", 6)
+    capped = scan(CURVE, Q, -20, -1, class_numbers=True)
+    hit = 0
+    for g, c in zip(good, capped):
+        if g.order_maximal is not None and g.order_maximal > 6:
+            assert c.error == "OrderBoundError: class order exceeds the cap 6"
+            assert c.h_maximal is None
+            hit += 1
+        elif g.order_order is not None and g.order_order <= 6:
+            assert c == g
+    assert hit > 3
