@@ -103,20 +103,10 @@ def coprime_shift(a: int, b: int, c: int, e: int) -> tuple[int, int]:
             f"{content.bit_length()} bits")
     if e == 1 or gcd(a, e) == 1:
         return a, b
-    # e2 = largest divisor of e all of whose prime factors divide a
-    e2 = 1
-    m = e
-    while True:
-        g = gcd(m, a)
-        if g == 1:
-            break
-        while True:
-            h = gcd(m, g)
-            if h == 1:
-                break
-            m //= h
-            e2 *= h
-    e1 = e // e2
+    # e1 = e stripped of every prime that divides a
+    e1 = e
+    while (g := gcd(e1, a)) > 1:
+        e1 //= g
     a2 = a + 2 * e1 * b + e1 * e1 * c
     b2 = b + e1 * c
     if gcd(a2, e) != 1:
@@ -193,6 +183,11 @@ def nontriviality_threshold(h: IntPoly, M: int,
     principal, because the principal form represents 1 and these forms
     do not represent anything that small.
 
+    Each condition fails first where a polynomial turns nonnegative:
+    f + h, f - h and M^2 - h^2.  One exact Sturm search (first_nonnegative)
+    finds each of those integers, in time polynomial in the coefficients'
+    size, so N is exact however far out the roots of h lie.
+
     Raises DegreeTooLargeError when deg h >= deg f and BadDegreeError
     when h is constant (both bounds need |h| to grow, but slower than f).
     """
@@ -205,14 +200,11 @@ def nontriviality_threshold(h: IntPoly, M: int,
         raise DegreeTooLargeError(
             f"deg h = {h.degree} must be below deg f = {f.degree}")
     cutoffs = [curve.negativity_bound]
-    # first integer where f + h or f - h turns nonnegative
+    # first integer where f + h or f - h turns nonnegative, and where |h|
+    # dips to M or below, if it ever does
     cutoffs.append(first_nonnegative(f + h) - 1)
     cutoffs.append(first_nonnegative(f - h) - 1)
-    # first integer where |h| dips to M or below; |h(t)| <= M only within
-    # the root hull of h^2 - M^2
-    hull = h * h - IntPoly((M * M,))
-    bound = 2 + max(abs(c) for c in hull.coeffs) // abs(hull.lc)
-    small = [t for t in range(-bound, bound + 1) if abs(h(t)) <= M]
-    if small:
-        cutoffs.append(min(small) - 1)
+    dip = first_nonnegative(IntPoly((M * M,)) - h * h)
+    if dip is not None:
+        cutoffs.append(dip - 1)
     return min(cutoffs)

@@ -8,9 +8,13 @@ polynomial is NEG_INF, a value that compares below every integer.
 
 Beyond ring operations the module provides the number-theoretic extras the
 rest of the package relies on: content and fixed divisor, square-freeness,
-discriminants via fraction-free determinants, and exact localisation of the
-least integer where a sign condition flips (Sturm chains, no floating
-point).  Everything here is exact; there is no numerical fallback.
+discriminants via fraction-free determinants, and first_nonnegative, the
+least integer where a polynomial turns nonnegative.  That one search
+answers every sign question in the package (the curve's negativity bound
+and each cutoff of the non-triviality threshold) by bisection on
+generalised Sturm counts, which handle repeated roots without a
+square-free pass and use no floating point.  Everything here is exact;
+there is no numerical fallback.
 """
 
 from __future__ import annotations
@@ -391,29 +395,23 @@ def discriminant(p: IntPoly) -> int:
     return quo
 
 
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """A primitive integer polynomial with the same real roots as p, none repeated.
-    The leading coefficient is normalised positive."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no square-free part")
-    g = rat_gcd(p.to_rational(), p.derivative().to_rational())
-    if g.degree == 0 or g.is_zero:
-        out = p.primitive_part()
-    else:
-        quo, rem = divmod(p.to_rational(), g)
-        assert rem.is_zero
-        out = clear_denominators(quo).primitive_part()
-    return out if out.lc > 0 else -out
-
-
-def _sturm_chain(p: IntPoly) -> list[RatPoly]:
+def _sturm_chain(p: IntPoly) -> list[IntPoly]:
+    """Generalised Sturm sequence of p: its negated remainder sequence
+    from p and p', each term divided by the last one (the gcd of p and p')
+    when that is not constant.  The quotients form a Sturm chain of the
+    square-free part of p, so repeated roots need no separate pass.  Each
+    term is scaled by a positive integer into Z[x], where it evaluates
+    fastest; the scaling keeps every sign."""
     chain = [p.to_rational(), p.derivative().to_rational()]
     while chain[-1].degree > 0:
         rem = chain[-2] % chain[-1]
         if rem.is_zero:
             break
         chain.append(-rem)
-    return chain
+    g = chain[-1]
+    if g.degree > 0:
+        chain = [h // g for h in chain]
+    return [clear_denominators(h) for h in chain]
 
 
 def _variations(signs) -> int:
@@ -436,50 +434,41 @@ def _var_at(chain, t) -> int:
     return _variations(_sign(h(t)) for h in chain)
 
 
-def _var_at_minus_inf(chain) -> int:
-    return _variations(
-        _sign(h.lc) * (-1 if (len(h.coeffs) - 1) % 2 else 1) for h in chain
-    )
+def first_nonnegative(p: IntPoly) -> int | None:
+    """Least integer m with p(m) >= 0, or None when p is negative at every
+    integer.  p must be negative at all sufficiently small integers: odd
+    degree with positive leading coefficient, or even degree with negative
+    leading coefficient (a negative constant included).
 
-
-def _var_at_plus_inf(chain) -> int:
-    return _variations(_sign(h.lc) for h in chain)
-
-
-def first_nonnegative(p: IntPoly) -> int:
-    """Least integer m with p(m) >= 0, for p of odd degree with positive
-    leading coefficient (so that p is negative on all sufficiently small
-    integers and positive on all sufficiently large ones).
-
-    Exact: the distinct real roots are located by Sturm-chain bisection at
-    integer granularity, the ceiling of each root is a candidate, and p is
-    evaluated there.  The least qualifying candidate is the answer.
+    Exact: the distinct real roots lie within the Cauchy bound of p, and
+    the Sturm counts at integers between -bound and bound locate each one
+    by bisection at integer granularity.  The ceiling of each root is a
+    candidate, and the least candidate where p >= 0 is the answer.
     """
-    if p.is_zero or p.degree % 2 != 1 or p.lc <= 0:
-        raise ValueError("need odd degree and positive leading coefficient")
-    sf = squarefree_part(p)
-    chain = _sturm_chain(sf)
-    v_minf = _var_at_minus_inf(chain)
-    total = v_minf - _var_at_plus_inf(chain)
-    bound = 2 + max(abs(c) for c in sf.coeffs) // abs(sf.lc)
-    lo_all, hi_all = -bound, bound
+    if p.is_zero or (p.degree % 2 == 1) != (p.lc > 0):
+        raise ValueError("need odd degree with positive leading coefficient"
+                         " or even degree with negative leading coefficient")
+    if p.degree == 0:
+        return None
+    chain = _sturm_chain(p)
+    bound = 2 + max(abs(c) for c in p.coeffs) // abs(p.lc)
+    v_low = _var_at(chain, -bound)
+    total = v_low - _var_at(chain, bound)
 
     def count_leq(t: int) -> int:
-        return v_minf - _var_at(chain, t)
+        return v_low - _var_at(chain, t)
 
-    lo = lo_all
+    lo = -bound
     for i in range(1, total + 1):
         # least integer t with at least i roots <= t, i.e. ceil of the i-th root
-        a, b = lo - 1, hi_all
+        a, b = lo - 1, bound
         while a + 1 < b:
             mid = (a + b) // 2
             if count_leq(mid) >= i:
                 b = mid
             else:
                 a = mid
-        t = b
-        lo = t
-        if p(t) >= 0:
-            return t
-    raise InternalInconsistencyError(
-        "an odd-degree polynomial with positive lead is eventually positive")
+        lo = b
+        if p(b) >= 0:
+            return b
+    return None

@@ -177,9 +177,7 @@ def is_probable_prime(n: int) -> bool:
 def _brent_rho(n: int, max_iters: int) -> int | None:
     """Brent-cycle factor hunt over the constants c = 1, ..., 19, all of
     them within one budget of max_iters iterations; returns a nontrivial
-    factor or None."""
-    if n % 2 == 0:
-        return 2
+    factor or None.  n is odd: factorint strips every 2 first."""
     iters = 0
     for c in range(1, 20):
         y, m = 2, 128

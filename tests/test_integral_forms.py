@@ -3,6 +3,7 @@ classes, and the nontriviality threshold."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,46 @@ def test_threshold_defining_property():
     n = N + 1
     assert (abs(h(n)) <= 1 or h(n) + f(n) >= 0 or -h(n) + f(n) >= 0
             or n > CURVE.negativity_bound)
+
+
+def _window_threshold(h, M, curve):
+    """nontriviality_threshold by its former method: scan every integer
+    within the Cauchy bound of f + h, f - h and M^2 - h^2 for the first
+    one where the polynomial is nonnegative."""
+    cutoffs = [curve.negativity_bound]
+    for q in (curve.f + h, curve.f - h, IntPoly((M * M,)) - h * h):
+        bound = 2 + max(abs(c) for c in q.coeffs) // abs(q.lc)
+        hits = [t for t in range(-bound, bound + 1) if q(t) >= 0]
+        if hits:
+            cutoffs.append(min(hits) - 1)
+    return min(cutoffs)
+
+
+def test_threshold_matches_window_scan():
+    rng = random.Random(12)
+    curves = (CURVE, new_curve(IntPoly([0, -1, 0, 1])), GEN2,
+              new_curve(IntPoly([3, -5, 0, 0, 0, 1])))
+    for _ in range(500):
+        curve = rng.choice(curves)
+        low = [rng.randint(-9, 9) for _ in range(rng.randint(1, curve.genus))]
+        h = IntPoly(low + [rng.choice((-2, -1, 1, 2))])
+        M = rng.randint(1, 12)
+        assert (nontriviality_threshold(h, M, curve)
+                == _window_threshold(h, M, curve)), (h, M, curve)
+
+
+def test_threshold_far_roots_are_fast():
+    # A's root x(13P) is about 2031, so the Cauchy bound of M^2 - A^2
+    # spans about 2 * x(13P)^2 = 8 * 10^6 integers; a scan took seconds
+    F = to_alt_mumford(CURVE, jac_smul(CURVE, 13, from_point(CURVE, 2, 2)))
+    start = time.perf_counter()
+    N = nontriviality_threshold(F.A, congruence_data(F).d_L, CURVE)
+    assert time.perf_counter() - start < 1.0
+    assert N == -1052807601738075
+    # y^2 = x^3 + 2000001 through (10000, 1000001): A = x - 10000
+    bigx = new_curve(IntPoly([2000001, 0, 0, 1]))
+    F = to_alt_mumford(bigx, from_point(bigx, 10000, 1000001))
+    assert nontriviality_threshold(F.A, 1, bigx) == -127
 
 
 def test_threshold_errors():

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: ring laws, gcds, resultants, root localisation."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from hyperclass.polyarith import (
     rat_gcd,
     rat_xgcd,
     resultant,
-    squarefree_part,
     xgcd,
 )
 
@@ -241,16 +241,6 @@ def test_is_squarefree():
     assert not is_squarefree(IntPoly([0, 0, 1]))
 
 
-def test_squarefree_part():
-    p = IntPoly([-1, 1]) * IntPoly([-1, 1]) * IntPoly([3, 1])
-    sp = squarefree_part(p)
-    assert sp == IntPoly([-1, 1]) * IntPoly([3, 1])
-    assert squarefree_part(IntPoly([0, 0, 4])) == IntPoly([0, 1])
-    # result is primitive with positive leading coefficient
-    q = squarefree_part(IntPoly([0, 0, -18]))
-    assert q == IntPoly([0, 1])
-
-
 def test_first_nonnegative_examples():
     assert first_nonnegative(IntPoly([-4, 0, 0, 1])) == 2
     assert first_nonnegative(IntPoly([0, -1, 0, 1])) == -1
@@ -270,3 +260,45 @@ def test_first_nonnegative_is_minimal(low, lead):
     m = first_nonnegative(p)
     assert p(m) >= 0
     assert p(m - 1) < 0
+
+
+def test_first_nonnegative_edge_cases():
+    assert first_nonnegative(IntPoly([-5])) is None
+    # a double root is found by the one Sturm search, no square-free pass
+    x3 = IntPoly([3, 1])
+    assert first_nonnegative(x3 * x3 * IntPoly([-1, 1])) == -3
+    assert first_nonnegative(-(x3 * x3)) == -3
+    assert first_nonnegative(IntPoly([-1, 0, -1])) is None
+    for bad in (IntPoly.zero(), IntPoly([5]), IntPoly([0, -1]),
+                IntPoly([0, 0, 1])):
+        with pytest.raises(ValueError):
+            first_nonnegative(bad)
+
+
+def _random_factored(rng):
+    """A seeded product of small real and complex factors, some repeated,
+    with every real root in [-12, 12]."""
+    p = IntPoly([rng.randint(1, 5)])
+    for _ in range(rng.randint(0, 4)):
+        lin = IntPoly([rng.randint(-12, 12), rng.randint(1, 3)])
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            p = p * lin
+    if rng.random() < 0.4:
+        p = p * IntPoly([rng.randint(1, 9), rng.randint(-3, 3), 1])
+    return p
+
+
+def test_first_nonnegative_matches_scan():
+    rng = random.Random(20261018)
+    seen_none = 0
+    for _ in range(200):
+        p = _random_factored(rng)
+        # both admissible sign patterns: odd degree with a positive lead,
+        # even degree with a negative one
+        if (p.degree % 2 == 1) != (p.lc > 0):
+            p = -p
+        # beyond [-13, 13] the sign no longer changes
+        scan = next((t for t in range(-13, 14) if p(t) >= 0), None)
+        assert first_nonnegative(p) == scan, p
+        seen_none += scan is None
+    assert seen_none > 0

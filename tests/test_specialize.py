@@ -278,6 +278,10 @@ def test_pairing_kernel_bound():
 def test_check_norm_bounds_examples():
     assert check_norm_bounds(CURVE, Q, -1)
     assert check_norm_bounds(CURVE, jac_smul(CURVE, 3, Q), -3)
+    # genus 2, where d = gcd(A(n), e, B(n)) > 1 strips primes off the bound
+    assert check_norm_bounds(GEN2, jac_smul(GEN2, 3, Q2), -1)  # d = 2, e = 8
+    assert check_norm_bounds(GEN2, jac_smul(GEN2, 5, Q2), 0)  # d = 13
+    assert check_norm_bounds(GEN2, jac_smul(GEN2, 6, Q2), -3)  # d = 5
 
 
 def test_check_norm_bounds_window():
