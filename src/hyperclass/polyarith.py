@@ -6,14 +6,17 @@ in ascending order of exponent (so p.coeffs[k] multiplies x**k), trim
 trailing zeros, and are immutable and hashable.  The degree of the zero
 polynomial is NEG_INF, a value that compares below every integer.
 
-Beyond ring operations the module provides the number-theoretic extras the
-rest of the package relies on: content and fixed divisor, square-freeness,
-discriminants via fraction-free determinants, and first_nonnegative, the
-least integer where a polynomial turns nonnegative.  That one search
-answers every sign question in the package (the curve's negativity bound
-and each cutoff of the non-triviality threshold) by bisection on
-generalised Sturm counts, which handle repeated roots without a
-square-free pass and use no floating point.  Everything here is exact;
+Division over Q is one pass of long division over a coefficient list,
+which gives the quotient and the remainder together.  Beyond ring
+operations the module provides the number-theoretic extras the rest of
+the package relies on: content and fixed divisor, discriminants via
+fraction-free determinants, square-freeness read off the discriminant
+(no gcd over Q), and first_nonnegative, the least integer where a
+polynomial turns nonnegative.  That one search answers every sign
+question in the package (the curve's negativity bound and each cutoff
+of the non-triviality threshold) by bisection on generalised Sturm
+counts, which handle repeated roots without a square-free pass and use
+no floating point.  Everything here is exact;
 there is no numerical fallback.
 """
 
@@ -90,10 +93,6 @@ class _Poly:
     @classmethod
     def x(cls):
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, c, k: int):
-        return cls((0,) * k + (c,))
 
     @property
     def degree(self):
@@ -230,16 +229,19 @@ class RatPoly(_Poly):
         return acc
 
     def __divmod__(self, other: "RatPoly"):
+        """(quotient, remainder), by one pass of long division over a
+        coefficient list."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = RatPoly()
-        r = self
-        d = other.degree
-        while not r.is_zero and r.degree >= d:
-            t = RatPoly.monomial(r.lc / other.lc, r.degree - d)
-            q = q + t
-            r = r - t * other
-        return q, r
+        d, lc = other.degree, other.lc
+        rem = list(self.coeffs)
+        quot = [0] * max(len(rem) - d, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = rem[i + d] / lc
+            if c:
+                for j, oc in enumerate(other.coeffs[:d]):
+                    rem[i + j] -= c * oc
+        return RatPoly(quot), RatPoly(rem[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -281,22 +283,14 @@ def _pretty(coeffs) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def rat_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Monic gcd over Q[x]; gcd(0, 0) is 0."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
-
-
 def rat_xgcd(p: RatPoly, q: RatPoly):
     """Extended gcd over Q[x]: (g, s, t) with s*p + t*q = g, g monic (or zero)."""
     old_r, r = p, q
     old_s, s = RatPoly.one(), RatPoly.zero()
     old_t, t = RatPoly.zero(), RatPoly.one()
     while not r.is_zero:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
+        quo, rem = divmod(old_r, r)
+        old_r, r = r, rem
         old_s, s = s, old_s - quo * s
         old_t, t = t, old_t - quo * t
     if old_r.is_zero:
@@ -328,13 +322,11 @@ def fixed_divisor(p: IntPoly) -> int:
 
 
 def is_squarefree(p: IntPoly) -> bool:
-    """True when p has no repeated factor (over Q, hence over Z for primitive p)."""
+    """True when p has no repeated factor (over Q, hence over Z for
+    primitive p): for degree at least 1, when its discriminant is nonzero."""
     if p.is_zero:
         raise ValueError("square-freeness is undefined for the zero polynomial")
-    if p.degree < 1:
-        return True
-    g = rat_gcd(p.to_rational(), p.derivative().to_rational())
-    return g.degree == 0
+    return p.degree < 1 or discriminant(p) != 0
 
 
 def resultant(p: IntPoly, q: IntPoly) -> int:

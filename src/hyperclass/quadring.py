@@ -62,36 +62,6 @@ ORDER_CAP = 10 ** 7
 # integer utilities: primality, factorisation, square parts
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), the full extension of the Jacobi symbol."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a % 2 == 0 and n % 2 == 0:
-        return 0
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    k = 1
-    if v % 2 == 1 and a % 8 in (3, 5):
-        k = -k
-    if n < 0:
-        n = -n
-        if a < 0:
-            k = -k
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                k = -k
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            k = -k
-        a %= n
-    return k if n == 1 else 0
-
-
 def sqrt_mod(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p (one power when
     p = 3 mod 4, else Tonelli-Shanks): 0 when p | n, None when n is a
@@ -763,7 +733,8 @@ def _count_reduced_forms(disc: int) -> int:
     # largest[a]: the largest non-inert prime of a, in native 32-bit words
     largest = memoryview(bytearray(4 * (a_top + 1))).cast("I")
     for p in primes_up_to(a_top):
-        # kind: 1 split, -1 inert, 0 ramified; Euler's criterion for odd p
+        # kind = _legendre(disc, p), inlined: 1 split, -1 inert,
+        # 0 ramified; Euler's criterion for odd p
         if p == 2:
             kind = (disc % 8 == 1) - (disc % 8 == 5)
         elif disc % p == 0:
@@ -916,6 +887,17 @@ def kernel_order(cd: ConductorData) -> int:
     return _kernel_factor(cd.disc_max, cd.conductor, primes)
 
 
+def _legendre(disc: int, p: int) -> int:
+    """(disc|p) for a discriminant disc and a prime p: 1 when p splits in
+    Q(sqrt(disc)), -1 when it is inert, 0 when it ramifies.  For odd p
+    this is Euler's criterion, the test _count_reduced_forms runs inline."""
+    if p == 2:
+        return (disc % 8 == 1) - (disc % 8 == 5)
+    if disc % p == 0:
+        return 0
+    return 1 if pow(disc, p >> 1, p) == 1 else -1
+
+
 def _kernel_factor(disc_max: int, m: int, primes) -> int:
     """h(O)/h(O_K) for the order O of conductor m in the maximal order O_K
     of discriminant disc_max, given the primes of m:
@@ -923,13 +905,14 @@ def _kernel_factor(disc_max: int, m: int, primes) -> int:
         m * prod_{p | m} (1 - (disc_max|p)/p) / [O_K^* : O^*],
 
     with unit index 3 for disc_max = -3, 2 for -4, 1 otherwise (and 1
-    when m = 1).
+    when m = 1).  Only primes are asked, so (disc_max|p) is the Legendre
+    symbol of _legendre, extended to p = 2 by disc_max mod 8.
     """
     if m == 1:
         return 1
     num, den = m, 1
     for p in primes:
-        num *= p - kronecker(disc_max, p)
+        num *= p - _legendre(disc_max, p)
         den *= p
     if disc_max == -3:
         den *= 3

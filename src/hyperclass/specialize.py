@@ -58,7 +58,6 @@ from .quadring import (
     ideal_to_class,
     kernel_order,
     push_to_maximal,
-    square_part,
 )
 
 
@@ -343,12 +342,24 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
 def _descending(curve: OddHyperellipticCurve, n_hi: int, n_lo: int,
                 squarefree_only: bool, factor_bound: int):
     """n from n_hi down to n_lo; with squarefree_only, only those n where
-    f(n)/fd(f) is square-free."""
+    f(n)/fd(f) is square-free.
+
+    A prime p with p^2 | f(n)/fd(f) divides S(n), so the test reads the
+    primes of S(n) off conductor_data(f(n)), the factorisation that the
+    record of n then finds in the cache.  An n whose f(n) cannot be
+    factored stays: its record raises the same error, which a scan keeps
+    in the row and a search handles as for any other n.
+    """
     fd_f = fixed_divisor(curve.f)
     for n in range(n_hi, n_lo - 1, -1):
-        if squarefree_only \
-                and square_part(curve.f(n) // fd_f, factor_bound) != 1:
-            continue
+        if squarefree_only:
+            v = curve.f(n)
+            try:
+                S_factors = conductor_data(v, factor_bound).S_factors
+            except HyperclassError:
+                S_factors = ()
+            if any(v // fd_f % (p * p) == 0 for p, _ in S_factors):
+                continue
         yield n
 
 

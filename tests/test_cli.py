@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -141,6 +142,41 @@ def test_scan_squarefree_only_flag(tmp_path, capsys):
     body = [l for l in out.splitlines()[1:] if not l.startswith("#")]
     assert [l.split(",")[0] for l in body] == ["1", "-1", "-3", "-5",
                                                "-7", "-9"]
+
+
+GEN2_CONFIG = """\
+# genus-2 test curve
+f = [-1, 1, 0, 0, 0, 1]
+point = (1, 1)
+"""
+
+
+def test_scan_squarefree_only_keeps_unfactored_value(tmp_path, capsys):
+    # f(-3011) cannot be factored within a rho budget of 1: a row error,
+    # not an abort
+    cfg = write_config(tmp_path, GEN2_CONFIG)
+    code, out, err = run(
+        ["scan", "--config", cfg, "--squarefree-only", "--factor-bound", "1",
+         "--from", "-3011", "--to", "-3011"], capsys)
+    assert code == 0, err
+    body = [l for l in out.splitlines()[1:] if not l.startswith("#")]
+    assert len(body) == 1 and body[0].startswith("-3011,")
+    assert "FactorizationBoundError" in body[0]
+
+
+def test_search_squarefree_only_skips_unfactored_value(tmp_path, capsys,
+                                                       monkeypatch):
+    # the walk starts at -3008 instead of the negativity bound 0, so that
+    # it examines five values instead of 3000
+    def near_curve(f):
+        return dataclasses.replace(new_curve(f), negativity_bound=-3008)
+    monkeypatch.setattr(cli, "new_curve", near_curve)
+    cfg = write_config(tmp_path, GEN2_CONFIG)
+    code, out, err = run(
+        ["search", "--config", cfg, "--squarefree-only", "--factor-bound",
+         "1", "--min-order", "10000000", "--floor", "-3012"], capsys)
+    assert code == 1, err
+    assert out == ""
 
 
 def test_scan_rejects_range_above_bound(tmp_path, capsys):

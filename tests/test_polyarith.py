@@ -18,7 +18,6 @@ from hyperclass.polyarith import (
     first_nonnegative,
     fixed_divisor,
     is_squarefree,
-    rat_gcd,
     rat_xgcd,
     resultant,
     xgcd,
@@ -59,7 +58,6 @@ def test_intpoly_basics():
     assert IntPoly.zero().is_zero
     assert IntPoly([0, 0, 0]) == IntPoly.zero()
     assert IntPoly.x() == IntPoly([0, 1])
-    assert IntPoly.monomial(3, 2) == IntPoly([0, 0, 3])
 
 
 def test_intpoly_trailing_zeros_trimmed():
@@ -144,15 +142,6 @@ def test_ratpoly_divmod(p, q):
     assert rem.is_zero or rem.degree < q.degree
 
 
-def test_rat_gcd_is_monic():
-    p = RatPoly([Fraction(-4), Fraction(0), Fraction(0), Fraction(1)])
-    g = rat_gcd(p, p.derivative())
-    assert g == RatPoly.one()
-    a = RatPoly([-1, 1]) * RatPoly([2, 1])
-    b = RatPoly([-1, 1]) * RatPoly([5, 3])
-    assert rat_gcd(a, b) == RatPoly([-1, 1])
-
-
 @given(rat_polys, rat_polys)
 @settings(max_examples=80)
 def test_rat_xgcd_bezout(p, q):
@@ -220,7 +209,7 @@ def test_resultant_multiplicative(p, q, r):
 def test_resultant_zero_iff_common_factor(p, q):
     if p.is_zero or q.is_zero:
         return
-    shares = rat_gcd(p.to_rational(), q.to_rational()).degree >= 1
+    shares = rat_xgcd(p.to_rational(), q.to_rational())[0].degree >= 1
     assert (resultant(p, q) == 0) == shares
 
 
@@ -239,6 +228,20 @@ def test_is_squarefree():
     assert is_squarefree(IntPoly([0, -1, 0, 0, 0, 1]))
     assert not is_squarefree(IntPoly([1, 2, 1]))
     assert not is_squarefree(IntPoly([0, 0, 1]))
+
+
+@given(int_polys, st.lists(st.integers(-9, 9), max_size=3).map(IntPoly))
+@settings(max_examples=100)
+def test_is_squarefree_matches_gcd_with_derivative(p, q):
+    # p * q^2 has a repeated factor whenever q is not constant; a
+    # nonzero constant is square-free, the zero polynomial is refused
+    for r in (p, p * q * q):
+        if r.is_zero:
+            with pytest.raises(ValueError):
+                is_squarefree(r)
+            continue
+        g = rat_xgcd(r.to_rational(), r.derivative().to_rational())[0]
+        assert is_squarefree(r) == (g.degree == 0), r
 
 
 def test_first_nonnegative_examples():

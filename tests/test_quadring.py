@@ -37,7 +37,6 @@ from hyperclass.quadring import (
     ideal_to_class,
     is_probable_prime,
     kernel_order,
-    kronecker,
     primes_up_to,
     principal_form,
     reduce_form,
@@ -108,30 +107,6 @@ def random_invertible_ideal(rng, D):
 
 
 # --- scalar utilities -------------------------------------------------------
-
-def test_kronecker_matches_euler_criterion():
-    for p in (3, 5, 7, 11, 13, 61):
-        for a in range(-20, 21):
-            want = 0 if a % p == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else p - 1)
-            want = -1 if want == p - 1 else want
-            assert kronecker(a, p) == want, (a, p)
-
-
-def test_kronecker_at_two_and_units():
-    assert kronecker(1, 2) == 1
-    assert kronecker(7, 2) == 1
-    assert kronecker(3, 2) == -1
-    assert kronecker(4, 2) == 0
-    assert kronecker(5, 1) == 1
-    assert [kronecker(-1, p) for p in (5, 13, 3, 7)] == [1, 1, -1, -1]
-
-
-def test_kronecker_multiplicative_in_bottom():
-    for a in (-7, -3, 2, 5, 9):
-        for m in range(1, 40):
-            for n in range(1, 40):
-                assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
-
 
 def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -1027,7 +1002,10 @@ def kernel_by_factoring(cd):
     m = cd.conductor
     num, den = m, 1
     for p in factorint(m):
-        num *= p - kronecker(cd.disc_max, p)
+        # (disc_max|p) from the roots of x^2 = disc_max mod 4p: 0, 1 or 2
+        roots = sum((x * x - cd.disc_max) % (4 * p) == 0
+                    for x in range(2 * p))
+        num *= p - (roots - 1)
         den *= p
     den *= {-3: 3, -4: 2}.get(cd.disc_max, 1)
     assert num % den == 0

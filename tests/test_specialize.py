@@ -1,6 +1,7 @@
 """The specialisation map delta_n, its pushforward pairing value, and the
 scan/search drivers."""
 
+import dataclasses
 import math
 
 import pytest
@@ -30,7 +31,7 @@ from hyperclass.jacobian import (
     jac_neg,
     jac_smul,
 )
-from hyperclass.polyarith import IntPoly, RatPoly
+from hyperclass.polyarith import IntPoly, RatPoly, fixed_divisor
 from hyperclass.quadring import (
     IdealClass,
     IntBinaryForm,
@@ -48,6 +49,7 @@ from hyperclass.specialize import (
     ROW_FIELDS,
     ValueForm,
     _delta_ideal,
+    _descending,
     check_norm_bounds,
     delta_n,
     find_order_at_least,
@@ -393,6 +395,52 @@ def test_find_order_at_least_progress():
 def test_find_order_at_least_squarefree_only():
     # same answer here: the first qualifying n has square-free value anyway
     assert find_order_at_least(CURVE, Q, 2, -50, squarefree_only=True) == -1
+
+
+def test_squarefree_filter_matches_square_part():
+    # the filter reads S(n) from conductor_data; the oracle factors
+    # f(n)/fd(f) afresh.  x^3 - x + 6 has fixed divisor 6.
+    for f, n_lo in (([-4, 0, 0, 1], -1500), ([-1, 1, 0, 0, 0, 1], -300),
+                    ([6, -1, 0, 1], -1500)):
+        curve = new_curve(IntPoly(f))
+        nb, fd_f = curve.negativity_bound, fixed_divisor(curve.f)
+        want = [n for n in range(nb, n_lo - 1, -1)
+                if square_part(curve.f(n) // fd_f) == 1]
+        got = list(_descending(curve, nb, n_lo, True, 10 ** 6))
+        assert got == want, f
+
+
+# f(-3011) on y^2 = x^5 + x - 1 has a composite cofactor that a rho
+# budget of 1 does not split
+UNFACTORED_N = -3011
+
+
+def test_scan_squarefree_only_keeps_unfactored_value_as_row():
+    rows = scan(GEN2, Q2, UNFACTORED_N, UNFACTORED_N, squarefree_only=True,
+                factor_bound=1)
+    assert [r.n for r in rows] == [UNFACTORED_N]
+    assert rows[0].error.startswith("FactorizationBoundError")
+
+
+def test_find_order_at_least_squarefree_only_skips_unfactored_value():
+    # the walk starts just above the planted n, not at the negativity
+    # bound 0, so that it examines five values instead of 3000
+    curve = dataclasses.replace(GEN2, negativity_bound=-3008)
+    seen = {}
+    got = find_order_at_least(curve, Q2, 10 ** 7, -3012,
+                              squarefree_only=True, factor_bound=1,
+                              progress=seen.__setitem__)
+    assert got is None
+    assert seen[UNFACTORED_N] is None
+
+
+def test_find_order_at_least_squarefree_only_propagates_inconsistency(
+        monkeypatch):
+    def broken(v, factor_bound):
+        raise InternalInconsistencyError("planted")
+    monkeypatch.setattr(specialize, "conductor_data", broken)
+    with pytest.raises(InternalInconsistencyError, match="planted"):
+        find_order_at_least(CURVE, Q, 2, -10, squarefree_only=True)
 
 
 def test_specialise_is_lazy(monkeypatch):

@@ -85,3 +85,12 @@ def test_conductor_square_part_matches_sympy():
         cd = conductor_data(v)
         assert cd.S_factors == want, v
         assert cd.S ** 2 * cd.d == v and all(e == 1 for e in sympy.factorint(-cd.d).values())
+
+
+def test_legendre_matches_sympy():
+    # every prime below 100 against every discriminant in [-1000, -3]
+    for p in primes_up_to(99):
+        for disc in range(-1000, -2):
+            if disc % 4 < 2:
+                want = sympy.kronecker_symbol(disc, p)
+                assert qr._legendre(disc, p) == want, (disc, p)
