@@ -13,6 +13,7 @@ exhibit nontrivial and unboundedly large orders.
 from .curve import OddHyperellipticCurve, new_curve
 from .errors import (
     BadDegreeError,
+    ClassNumberBoundError,
     ConfigError,
     DegreeTooLargeError,
     DiscriminantMismatchError,
@@ -73,14 +74,12 @@ from .quadring import (
 from .specialize import (
     Specialisation,
     SpecializationRow,
-    ValueForm,
     check_norm_bounds,
     delta_n,
     find_order_at_least,
     is_n_primitive,
     pairing_value,
     scan,
-    specialise,
     specialize_form,
 )
 

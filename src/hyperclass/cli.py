@@ -49,7 +49,7 @@ from .jacobian import (
 )
 from .polyarith import IntPoly, RatPoly, discriminant, fixed_divisor
 from .quadring import class_number
-from .specialize import ROW_FIELDS, find_order_at_least, scan, specialise
+from .specialize import ROW_FIELDS, find_order_at_least, scan, specialize_form
 
 
 def curve_from_config(cfg: ExperimentConfig) -> OddHyperellipticCurve:
@@ -242,11 +242,11 @@ def cmd_search(args) -> int:
             print(f"{key} = {stats[key]}", file=sys.stderr)
         return 1
     # h is read before the order, which divides it out and so certifies it
-    s = specialise(to_alt_mumford(curve, Q), curve, n, bound)
+    s = specialize_form(to_alt_mumford(curve, Q), curve, n, bound)
     h = s.h_maximal
     cls = s.maximal_class
     print(f"n = {n}")
-    print(f"f(n) = {s.value.fval}")
+    print(f"f(n) = {s.fval}")
     print(f"form = {cls.rep}")
     print(f"disc = {cls.disc}")
     print(f"order = {s.order_maximal}")

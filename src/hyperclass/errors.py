@@ -61,6 +61,10 @@ class OrderBoundError(HyperclassError):
     """A class order exceeded the iteration cap of its computation."""
 
 
+class ClassNumberBoundError(HyperclassError):
+    """A discriminant lies past the memory reach of the class-number count."""
+
+
 class InternalInconsistencyError(HyperclassError):
     """An invariant that should be unreachable was violated; please report."""
 

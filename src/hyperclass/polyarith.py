@@ -432,10 +432,11 @@ def first_nonnegative(p: IntPoly) -> int | None:
     degree with positive leading coefficient, or even degree with negative
     leading coefficient (a negative constant included).
 
-    Exact: the distinct real roots lie within the Cauchy bound of p, and
-    the Sturm counts at integers between -bound and bound locate each one
-    by bisection at integer granularity.  The ceiling of each root is a
-    candidate, and the least candidate where p >= 0 is the answer.
+    Exact: the distinct real roots lie strictly within a Fujiwara bound
+    of p, and the Sturm counts at integers between -bound and bound locate
+    each one by bisection at integer granularity.  The ceiling of each
+    root is a candidate, and the least candidate where p >= 0 is the
+    answer.
     """
     if p.is_zero or (p.degree % 2 == 1) != (p.lc > 0):
         raise ValueError("need odd degree with positive leading coefficient"
@@ -443,7 +444,12 @@ def first_nonnegative(p: IntPoly) -> int | None:
     if p.degree == 0:
         return None
     chain = _sturm_chain(p)
-    bound = 2 + max(abs(c) for c in p.coeffs) // abs(p.lc)
+    # every root has |z| <= 2 max_k |c_(d-k)/lc|^(1/k) (Fujiwara), and
+    # |c/lc| < 2^(bits(c) - bits(lc) + 1), so |z| < 2^(shift + 1)
+    d, lc_bits = p.degree, p.lc.bit_length()
+    shift = max((-(-max(0, c.bit_length() - lc_bits + 1) // (d - j))
+                 for j, c in enumerate(p.coeffs[:d]) if c), default=0)
+    bound = 1 << (shift + 1)
     v_low = _var_at(chain, -bound)
     total = v_low - _var_at(chain, bound)
 

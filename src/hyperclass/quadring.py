@@ -43,6 +43,7 @@ from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import (
+    ClassNumberBoundError,
     DiscriminantMismatchError,
     DivisibilityError,
     FactorizationBoundError,
@@ -52,11 +53,14 @@ from .errors import (
 )
 from .polyarith import xgcd
 
-# Resource limits: the default rho budget of factorint and the cap on a
-# class order.  Past them the tool raises FactorizationBoundError or
-# OrderBoundError instead of computing on.
+# Resource limits: the default rho budget of factorint, the cap on a
+# class order, and the largest |disc| whose class number is counted (its
+# sieves take about 1.9 GB at the cap).  Past them the tool raises
+# FactorizationBoundError, OrderBoundError or ClassNumberBoundError
+# instead of computing on.
 FACTOR_BOUND = 10 ** 6
 ORDER_CAP = 10 ** 7
+DISC_CAP = 10 ** 17
 
 # ---------------------------------------------------------------------------
 # integer utilities: primality, factorisation, square parts
@@ -687,10 +691,15 @@ def class_number_disc(disc: int) -> int:
     division by the primes up to there finds f: nothing is factored, and
     no FactorizationBoundError can arise.  h(d0) is counted over the
     first coefficient a by _count_reduced_forms, in O(|disc|^(1/2 + eps))
-    time and O(|disc|^(1/2)) memory.
+    time and O(|disc|^(1/2)) memory.  ClassNumberBoundError when
+    |disc| > DISC_CAP, before anything is sieved.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"{disc} is not a negative discriminant")
+    if -disc > DISC_CAP:
+        raise ClassNumberBoundError(
+            f"a discriminant of {(-disc).bit_length()} bits is past the "
+            f"class-number cap |disc| <= {DISC_CAP}")
     d0, f, f_primes = disc, 1, []
     for p in primes_up_to(isqrt(-disc // 3)):
         pp, f_before = p * p, f

@@ -19,8 +19,8 @@ Pushing the ideal into the maximal order of Q(sqrt(f(n))) gives the value
 of the class-group pairing of Q against the section x = n whenever that
 section meets the smooth locus of the integral model.
 
-Every caller goes through specialise(), whose record computes each step
-of this per-n chain once, and only when it is read.  The scan driver
+Every caller goes through specialize_form(), whose record computes each
+step of this per-n chain once, and only when it is read.  The scan driver
 evaluates whole ranges of n, records one row per value with orders in
 both Picard groups, and never aborts on a per-value error: failures are
 data.
@@ -61,21 +61,11 @@ from .quadring import (
 )
 
 
-@dataclass(frozen=True)
-class ValueForm:
-    """The integral data of Q evaluated at x = n."""
-
-    n: int
-    a_val: int
-    b_val: int
-    c_val: int
-    e: int
-    fval: int
-
-
 def specialize_form(form: AltMumfordForm, curve: OddHyperellipticCurve,
-                    n: int) -> ValueForm:
-    """Evaluate (A, B, C) at n and check the discriminant identity.
+                    n: int, factor_bound: int = FACTOR_BOUND
+                    ) -> Specialisation:
+    """Evaluate (A, B, C) at n, check the discriminant identity, and
+    return the record of the divisor class at n.
 
     Raises PositiveValueError when f(n) >= 0 (the value lies outside the
     imaginary range, i.e. n exceeds the negativity bound).
@@ -93,16 +83,16 @@ def specialize_form(form: AltMumfordForm, curve: OddHyperellipticCurve,
         raise InternalInconsistencyError(
             f"value form discriminant mismatch at n = {n}: "
             f"B(n)^2 - A(n)*C(n) != e^2*f(n) (bits: {sizes})")
-    return ValueForm(n=n, a_val=a_val, b_val=b_val, c_val=c_val,
-                     e=form.e, fval=fval)
+    return Specialisation(n=n, a_val=a_val, b_val=b_val, c_val=c_val,
+                          e=form.e, fval=fval, factor_bound=factor_bound)
 
 
-def value_gcd(v: ValueForm) -> int:
+def value_gcd(s: Specialisation) -> int:
     """gcd(A(n), 2B(n), C(n)) of the value form."""
-    return gcd(gcd(v.a_val, 2 * v.b_val), v.c_val)
+    return gcd(gcd(s.a_val, 2 * s.b_val), s.c_val)
 
 
-def is_n_primitive(v: ValueForm) -> bool:
+def is_n_primitive(s: Specialisation) -> bool:
     """Whether the class is computed at n: the canonical value form must
     have gcd(A(n), 2B(n), C(n)) = 1.
 
@@ -114,32 +104,31 @@ def is_n_primitive(v: ValueForm) -> bool:
     conservative: the class may exist for some better representative of
     the divisor class, which this module does not search for.
     """
-    return value_gcd(v) == 1
+    return value_gcd(s) == 1
 
 
-def _delta_ideal(v: ValueForm) -> QuadIdeal:
+def _delta_ideal(s: Specialisation) -> QuadIdeal:
     """Normal form of (A(n), e*y - B(n)) in Z[sqrt(f(n))], shifted so the
     leading entry is coprime to e.  Requires a primitive value form: the
     extension of an imprimitive one is not in general in the right ideal
     class (the collapse at primes dividing both the values and e is not
     class-preserving), so no fallback is attempted."""
-    content = value_gcd(v)
-    if content != 1:
+    if not s.primitive:
         # the values can be far too long to print; name n and the size
         raise NotPrimitiveError(
-            f"value form at n = {v.n} has a content of "
-            f"{content.bit_length()} bits; the class is not computed "
+            f"value form at n = {s.n} has a content of "
+            f"{value_gcd(s).bit_length()} bits; the class is not computed "
             f"from an imprimitive representative")
-    a2, b2 = coprime_shift(v.a_val, v.b_val, v.c_val, v.e)
-    return extend_ideal(abs(a2), b2, v.e, v.fval)
+    a2, b2 = coprime_shift(s.a_val, s.b_val, s.c_val, s.e)
+    return extend_ideal(abs(a2), b2, s.e, s.fval)
 
 
 @dataclass(frozen=True)
 class Specialisation:
-    """The divisor class at one n: its value form, and on demand its
-    primitivity, the ideal, the conductor, the classes in Z[sqrt(f(n))]
-    and in the maximal order, their orders, and the class numbers of
-    both rings.
+    """The divisor class at one n: its value form [A(n), 2B(n), C(n)] with
+    denominator e and f(n), and on demand its primitivity, the ideal, the
+    conductor, the classes in Z[sqrt(f(n))] and in the maximal order,
+    their orders, and the class numbers of both rings.
 
     Each derived field is computed once, at first use, so a caller pays
     only for what it reads: the class in the order never factors f(n),
@@ -147,20 +136,25 @@ class Specialisation:
     NotPrimitiveError when the value form is imprimitive.
     """
 
-    value: ValueForm
-    factor_bound: int
+    n: int
+    a_val: int
+    b_val: int
+    c_val: int
+    e: int
+    fval: int
+    factor_bound: int = FACTOR_BOUND
 
     @cached_property
     def primitive(self) -> bool:
-        return is_n_primitive(self.value)
+        return is_n_primitive(self)
 
     @cached_property
     def ideal(self) -> QuadIdeal:
-        return _delta_ideal(self.value)
+        return _delta_ideal(self)
 
     @cached_property
     def conductor(self) -> ConductorData:
-        return conductor_data(self.value.fval, self.factor_bound)
+        return conductor_data(self.fval, self.factor_bound)
 
     @cached_property
     def delta_class(self) -> IdealClass:
@@ -176,7 +170,7 @@ class Specialisation:
         sqrt|f(n)|, rather than the ideal itself, whose entries can be
         far longer."""
         return push_to_maximal(
-            form_to_ideal(self.delta_class.rep, self.value.fval),
+            form_to_ideal(self.delta_class.rep, self.fval),
             self.conductor)
 
     @cached_property
@@ -215,12 +209,6 @@ class Specialisation:
         return class_number_from_conductor(self.conductor, self.h_maximal)
 
 
-def specialise(form: AltMumfordForm, curve: OddHyperellipticCurve, n: int,
-               factor_bound: int = FACTOR_BOUND) -> Specialisation:
-    """Specialise the divisor class with integral form `form` at x = n."""
-    return Specialisation(specialize_form(form, curve, n), factor_bound)
-
-
 SPECIALISATION_CACHE = 8
 
 
@@ -230,8 +218,8 @@ def _specialised(curve: OddHyperellipticCurve, Q: MumfordDivisor, n: int,
     """The record that delta_n and pairing_value on one (Q, n) share, so
     the second call reuses the ideal the first one built.  They read only
     the two classes from it; orders and class numbers are read from
-    specialise() records, which are never cached."""
-    return specialise(to_alt_mumford(curve, Q), curve, n, factor_bound)
+    specialize_form() records, which are never cached."""
+    return specialize_form(to_alt_mumford(curve, Q), curve, n, factor_bound)
 
 
 def delta_n(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -257,7 +245,7 @@ def check_norm_bounds(curve: OddHyperellipticCurve, Q: MumfordDivisor,
 
     and additionally u = |A(n)| exactly when gcd(A(n), e) = 1.
     """
-    v = specialise(to_alt_mumford(curve, Q), curve, n, factor_bound).value
+    v = specialize_form(to_alt_mumford(curve, Q), curve, n, factor_bound)
     I = extend_ideal(abs(v.a_val), v.b_val, v.e, v.fval)
     u = I.a
     a_abs = abs(v.a_val)
@@ -317,8 +305,8 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
               factor_bound: int) -> SpecializationRow:
     row = SpecializationRow(n=n)
     try:
-        s = specialise(form, curve, n, factor_bound)
-        row.f_n = s.value.fval
+        s = specialize_form(form, curve, n, factor_bound)
+        row.f_n = s.fval
         row.S_n = s.conductor.S
         row.primitive = s.primitive
         if not row.primitive:
@@ -329,7 +317,7 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
             s.h_maximal     # read first: the orders then divide it out
         row.order_order = s.order_order
         row.order_maximal = s.order_maximal
-        row.pairing_status = smooth_section_status(s.value.fval, fprime(n),
+        row.pairing_status = smooth_section_status(s.fval, fprime(n),
                                                    s.conductor.S)
         if class_numbers:
             row.h_maximal = s.h_maximal
@@ -402,7 +390,7 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     for n in _descending(curve, curve.negativity_bound, n_floor,
                          squarefree_only, factor_bound):
         try:
-            order = specialise(form, curve, n, factor_bound).order_maximal
+            order = specialize_form(form, curve, n, factor_bound).order_maximal
         except InternalInconsistencyError:
             raise
         except HyperclassError:

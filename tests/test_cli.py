@@ -318,6 +318,13 @@ def test_class_number_command(capsys):
     assert code == 0 and out.strip() == "4"
 
 
+def test_class_number_past_its_reach_exits_2(capsys):
+    code, out, err = run(
+        ["class-number", "--D", "-1000000000000000000000000000000"], capsys)
+    assert code == 2 and out == ""
+    assert "ClassNumberBoundError" in err and "102 bits" in err
+
+
 def test_class_number_rejects_nonnegative(capsys):
     for D in ("0", "5"):
         code, out, err = run(["class-number", "--D", D], capsys)

@@ -31,7 +31,13 @@ from hyperclass.jacobian import (
     jac_neg,
     jac_smul,
 )
-from hyperclass.polyarith import IntPoly, RatPoly, clear_denominators
+from hyperclass import polyarith
+from hyperclass.polyarith import (
+    IntPoly,
+    RatPoly,
+    clear_denominators,
+    fixed_divisor,
+)
 
 CURVE = new_curve(IntPoly([-4, 0, 0, 1]))
 GEN2 = new_curve(IntPoly([-1, 1, 0, 0, 0, 1]))
@@ -329,6 +335,23 @@ def test_threshold_far_roots_are_fast():
     bigx = new_curve(IntPoly([2000001, 0, 0, 1]))
     F = to_alt_mumford(bigx, from_point(bigx, 10000, 1000001))
     assert nontriviality_threshold(F.A, 1, bigx) == -127
+
+
+def test_threshold_cutoffs_take_few_chain_evaluations(monkeypatch):
+    # the Sturm bisection starts from a Fujiwara bound on the roots, read
+    # off bit lengths: the cutoffs at 40(2, 2) take about 1056 evaluations
+    F = to_alt_mumford(CURVE, jac_smul(CURVE, 40, from_point(CURVE, 2, 2)))
+    M = math.gcd(fixed_divisor(F.A), F.e)
+    calls = []
+    var_at = polyarith._var_at
+
+    def counted(chain, t):
+        calls.append(t)
+        return var_at(chain, t)
+    monkeypatch.setattr(polyarith, "_var_at", counted)
+    N = nontriviality_threshold(F.A, M, CURVE)
+    assert len(calls) <= 1100
+    assert len(str(-N)) == 157 and -N % 10 ** 9 == 225325054
 
 
 def test_threshold_errors():

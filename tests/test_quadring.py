@@ -10,6 +10,7 @@ import pytest
 
 import hyperclass.quadring as qr
 from hyperclass.errors import (
+    ClassNumberBoundError,
     DiscriminantMismatchError,
     DivisibilityError,
     FactorizationBoundError,
@@ -766,6 +767,15 @@ def test_class_number_for_orders():
     assert class_number(-13) == 2
     assert class_number(-14) == 4
     assert class_number(-21) == 4
+
+
+def test_class_number_past_the_cap_is_refused(monkeypatch):
+    # refused before any prime is sieved; the message gives the size
+    def no_sieve(limit):
+        raise AssertionError("the sieve ran")
+    monkeypatch.setattr(qr, "primes_up_to", no_sieve)
+    with pytest.raises(ClassNumberBoundError, match="102 bits"):
+        class_number_disc(-4 * 10 ** 30)
 
 
 def test_class_number_disc_needs_no_numpy(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hyperclass.curve import new_curve
 from hyperclass import specialize
 from hyperclass.errors import (
+    ClassNumberBoundError,
     InternalInconsistencyError,
     InvalidDivisorError,
     NotPrimitiveError,
@@ -47,7 +48,7 @@ from hyperclass.quadring import (
 )
 from hyperclass.specialize import (
     ROW_FIELDS,
-    ValueForm,
+    Specialisation,
     _delta_ideal,
     _descending,
     check_norm_bounds,
@@ -57,7 +58,6 @@ from hyperclass.specialize import (
     pairing_value,
     scan,
     smooth_section_status,
-    specialise,
     specialize_form,
     value_gcd,
 )
@@ -123,8 +123,8 @@ def test_imprimitive_error_names_n_for_huge_values():
     # values past Python's 4300-digit int-to-str limit: the refusal must
     # still be a NotPrimitiveError, not a ValueError from formatting them
     big = 2 * 10 ** 5000
-    v = ValueForm(n=-7, a_val=big, b_val=big, c_val=big + 2, e=1,
-                  fval=-2 * big)
+    v = Specialisation(n=-7, a_val=big, b_val=big, c_val=big + 2, e=1,
+                       fval=-2 * big)
     assert v.b_val ** 2 - v.a_val * v.c_val == v.fval
     with pytest.raises(NotPrimitiveError, match="n = -7"):
         _delta_ideal(v)
@@ -448,8 +448,8 @@ def test_specialise_is_lazy(monkeypatch):
     def no_factoring(*args):
         raise AssertionError("f(n) was factored")
     monkeypatch.setattr(specialize, "conductor_data", no_factoring)
-    s = specialise(to_alt_mumford(CURVE, Q), CURVE, -3)
-    assert s.primitive and s.value.fval == -31
+    s = specialize_form(to_alt_mumford(CURVE, Q), CURVE, -3)
+    assert s.primitive and s.fval == -31
     assert s.delta_class.rep == IntBinaryForm(5, 4, 7)
     assert delta_n(CURVE, Q, -3) == s.delta_class
     with pytest.raises(AssertionError):
@@ -457,13 +457,14 @@ def test_specialise_is_lazy(monkeypatch):
 
 
 def test_specialise_record_fields():
-    s = specialise(to_alt_mumford(CURVE, Q), CURVE, -5)
+    s = specialize_form(to_alt_mumford(CURVE, Q), CURVE, -5)
+    assert isinstance(s, Specialisation)
     assert s.delta_class == delta_n(CURVE, Q, -5)
     assert s.maximal_class == pairing_value(CURVE, Q, -5)
     assert (s.order_order, s.order_maximal) == (6, 6)
     assert s.conductor.S == 1
     assert s.h_order == s.h_maximal == class_number_disc(-516) == 12
-    assert not specialise(to_alt_mumford(CURVE, Q), CURVE, -2).primitive
+    assert not specialize_form(to_alt_mumford(CURVE, Q), CURVE, -2).primitive
 
 
 def test_find_order_at_least_propagates_inconsistency(monkeypatch):
@@ -498,7 +499,7 @@ def test_order_order_by_kernel_matches_direct_order():
     form = to_alt_mumford(CURVE, Q)
     checked = 0
     for n in range(1, -401, -1):
-        s = specialise(form, CURVE, n)
+        s = specialize_form(form, CURVE, n)
         if not s.primitive:
             continue
         assert s.order_order == s.delta_class.order(), n
@@ -510,12 +511,12 @@ def test_derived_order_order_raises_past_the_cap(monkeypatch):
     # at n = -7 the order in O is 15, three times the maximal-order 5
     form = to_alt_mumford(CURVE, Q)
     monkeypatch.setattr(specialize, "ORDER_CAP", 14)
-    s = specialise(form, CURVE, -7)
+    s = specialize_form(form, CURVE, -7)
     assert s.order_maximal == 5
     with pytest.raises(OrderBoundError):
         s.order_order
     monkeypatch.setattr(specialize, "ORDER_CAP", 15)
-    assert specialise(form, CURVE, -7).order_order == 15
+    assert specialize_form(form, CURVE, -7).order_order == 15
 
 
 @settings(max_examples=10, deadline=None)
@@ -523,7 +524,7 @@ def test_derived_order_order_raises_past_the_cap(monkeypatch):
 def test_orders_certified_at_large_n(n):
     # x^m trivial and x^(m/p) not, for every prime p | m: m is the exact
     # order, checked without the search that found it
-    s = specialise(to_alt_mumford(CURVE, Q), CURVE, n)
+    s = specialize_form(to_alt_mumford(CURVE, Q), CURVE, n)
     try:
         orders = [(s.delta_class, s.order_order),
                   (s.maximal_class, s.order_maximal)]
@@ -580,7 +581,7 @@ def assert_reduced_push_matches_raw_push(s):
     # maximal_class pushes the ideal of the reduced form; the push of the
     # ideal itself is the oracle
     assert s.maximal_class == push_to_maximal(s.ideal, s.conductor), \
-        s.value.n
+        s.n
 
 
 def test_push_of_the_reduced_ideal_on_large_multiples(multiples):
@@ -588,7 +589,7 @@ def test_push_of_the_reduced_ideal_on_large_multiples(multiples):
     for D in multiples:
         form = to_alt_mumford(CURVE, D)
         for n in MULTIPLES_NS:
-            s = specialise(form, CURVE, n)
+            s = specialize_form(form, CURVE, n)
             if s.primitive:
                 assert_reduced_push_matches_raw_push(s)
                 checked += 1
@@ -600,7 +601,7 @@ def test_push_of_the_reduced_ideal_on_a_window():
         form = to_alt_mumford(curve, P)
         checked = 0
         for n in range(min(1, curve.negativity_bound), -401, -1):
-            s = specialise(form, curve, n)
+            s = specialize_form(form, curve, n)
             if s.primitive:
                 assert_reduced_push_matches_raw_push(s)
                 checked += 1
@@ -614,7 +615,7 @@ def test_caches_change_no_result(multiples):
     for D in multiples[:40]:
         form = to_alt_mumford.__wrapped__(CURVE, D)
         for n in (-1, -3, -7) + MULTIPLES_NS:
-            s = specialise(form, CURVE, n)
+            s = specialize_form(form, CURVE, n)
             try:
                 want = (s.delta_class, s.maximal_class)
             except NotPrimitiveError:
@@ -623,7 +624,7 @@ def test_caches_change_no_result(multiples):
                         f(CURVE, D, n)
                 undefined += 1
                 continue
-            assert s.conductor == conductor_data.__wrapped__(s.value.fval)
+            assert s.conductor == conductor_data.__wrapped__(s.fval)
             assert pairing_value(CURVE, D, n) == want[1]
             assert delta_n(CURVE, D, n) == want[0]
             assert pairing_value(CURVE, D, n) == want[1]
@@ -717,3 +718,29 @@ def test_class_number_route_keeps_the_order_cap(monkeypatch):
         elif g.order_order is not None and g.order_order <= 6:
             assert c == g
     assert hit > 3
+
+
+def test_value_form_content_is_computed_once_per_n(monkeypatch):
+    # the record's primitive flag answers both the row and the ideal
+    calls = []
+    content = specialize.value_gcd
+
+    def counted(s):
+        calls.append(s.n)
+        return content(s)
+    monkeypatch.setattr(specialize, "value_gcd", counted)
+    rows = scan(CURVE, Q, -20, 1)
+    assert len(rows) == 22 and sum(r.primitive for r in rows) == 11
+    assert sorted(calls) == sorted(r.n for r in rows)
+
+
+def test_class_number_past_its_reach_lands_in_the_row():
+    # |f(n)| near 10^21: the count's sieves would take about 18 GB
+    rows = scan(CURVE, Q, -10000003, -10000000, class_numbers=True)
+    assert [r.n for r in rows] == [-10000000, -10000001, -10000002,
+                                   -10000003]
+    primitive = [r for r in rows if r.primitive]
+    assert len(primitive) == 2
+    for r in primitive:
+        assert r.error.startswith(ClassNumberBoundError.__name__), r.n
+        assert r.form_a is not None and r.h_maximal is None
