@@ -301,12 +301,14 @@ ROW_FIELDS = tuple(f.name for f in fields(SpecializationRow))
 
 
 def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
-              fprime, n: int, class_numbers: bool,
-              factor_bound: int) -> SpecializationRow:
+              fprime, n: int, class_numbers: bool, factor_bound: int,
+              unfactored: HyperclassError | None) -> SpecializationRow:
     row = SpecializationRow(n=n)
     try:
         s = specialize_form(form, curve, n, factor_bound)
         row.f_n = s.fval
+        if unfactored is not None:
+            raise unfactored
         row.S_n = s.conductor.S
         row.primitive = s.primitive
         if not row.primitive:
@@ -329,14 +331,16 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
 
 def _descending(curve: OddHyperellipticCurve, n_hi: int, n_lo: int,
                 squarefree_only: bool, factor_bound: int):
-    """n from n_hi down to n_lo; with squarefree_only, only those n where
-    f(n)/fd(f) is square-free.
+    """Pairs (n, unfactored) for n from n_hi down to n_lo; with
+    squarefree_only, only those n where f(n)/fd(f) is square-free.
 
     A prime p with p^2 | f(n)/fd(f) divides S(n), so the test reads the
     primes of S(n) off conductor_data(f(n)), the factorisation that the
     record of n then finds in the cache.  An n whose f(n) cannot be
-    factored stays: its record raises the same error, which a scan keeps
-    in the row and a search handles as for any other n.
+    factored stays, with the error of that factorisation as unfactored,
+    which a scan keeps in the row and a search handles as for any other
+    n, without factoring f(n) a second time: conductor_data caches no
+    error.  unfactored is None for every other n.
     """
     fd_f = fixed_divisor(curve.f)
     for n in range(n_hi, n_lo - 1, -1):
@@ -344,11 +348,12 @@ def _descending(curve: OddHyperellipticCurve, n_hi: int, n_lo: int,
             v = curve.f(n)
             try:
                 S_factors = conductor_data(v, factor_bound).S_factors
-            except HyperclassError:
-                S_factors = ()
+            except HyperclassError as exc:
+                yield n, exc
+                continue
             if any(v // fd_f % (p * p) == 0 for p, _ in S_factors):
                 continue
-        yield n
+        yield n, None
 
 
 def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -367,9 +372,10 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
             f"{curve.negativity_bound}")
     form = to_alt_mumford(curve, Q)
     fprime = curve.f.derivative()
-    return [_scan_row(curve, form, fprime, n, class_numbers, factor_bound)
-            for n in _descending(curve, n_hi, n_lo, squarefree_only,
-                                 factor_bound)]
+    return [_scan_row(curve, form, fprime, n, class_numbers, factor_bound,
+                      unfactored)
+            for n, unfactored in _descending(curve, n_hi, n_lo,
+                                             squarefree_only, factor_bound)]
 
 
 def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -387,10 +393,13 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
     form = to_alt_mumford(curve, Q)
-    for n in _descending(curve, curve.negativity_bound, n_floor,
-                         squarefree_only, factor_bound):
+    for n, unfactored in _descending(curve, curve.negativity_bound, n_floor,
+                                     squarefree_only, factor_bound):
         try:
-            order = specialize_form(form, curve, n, factor_bound).order_maximal
+            s = specialize_form(form, curve, n, factor_bound)
+            if unfactored is not None:
+                raise unfactored
+            order = s.order_maximal
         except InternalInconsistencyError:
             raise
         except HyperclassError:

@@ -1043,3 +1043,132 @@ def test_kernel_order_reads_the_carried_factorisation(monkeypatch):
         assert dict(cd.S_factors) == factorint(cd.S), cd.value
         assert list(cd.S_factors) == sorted(cd.S_factors)
     assert [cd.conductor for cd in cds[:2]] == [12, 420]
+
+
+# --- Lehmer's partial Euclid: the inverse and the reduction of big ideals ---
+
+def euclid_remainders(r0, r1):
+    """Every remainder of plain Euclid on (r0, r1), from r0 down to 0."""
+    seq = [r0, r1]
+    while seq[-1]:
+        seq.append(seq[-2] % seq[-1])
+    return seq
+
+
+def test_partial_euclid_stops_at_the_first_remainder_below_the_bound():
+    rng = random.Random(15)
+    fib = [1, 2]
+    while fib[-1].bit_length() < 3000:
+        fib.append(fib[-1] + fib[-2])
+    pairs = [(fib[-1], fib[-2]),                 # every quotient 1
+             (2 ** 3000 + 1, 2 ** 1000 + 3),     # one huge quotient
+             (2 ** 2000 - 1, 2 ** 2000 - 2), (2 ** 100, 1), (7, 0)]
+    for _ in range(100):
+        bits = rng.randrange(2, 1500)
+        r0 = rng.getrandbits(bits) | 1 << (bits - 1)
+        pairs.append((r0, rng.randrange(r0)))
+    for r0, r1 in pairs:
+        seq = euclid_remainders(r0, r1)
+        # bounds at, just above and just below a remainder, and at random
+        r = seq[rng.randrange(1, len(seq))]
+        for bound in {0, r1, rng.randrange(r1 + 1), r, r + 1, max(r - 1, 0)}:
+            g0, g1, c0, c1 = qr._partial_euclid(r0, r1, bound)
+            j = next(i for i in range(1, len(seq)) if seq[i] <= bound)
+            assert (g0, g1) == (seq[j - 1], seq[j]), (r0, r1, bound)
+            assert (g0 - c0 * r1) % r0 == 0 and (g1 - c1 * r1) % r0 == 0
+            # j - 1 steps, each of which flips the sign of c1
+            assert (c1 > 0) == (j % 2 == 1)
+
+
+def test_lehmer_inverse_matches_pow():
+    rng = random.Random(16)
+    switch = qr._LEHMER_INVERSE_BITS
+    # both sides of the switch, and moduli of the sizes that the
+    # benchmark's multiples kP, k <= 112, reach
+    for bits in (switch - 1, switch, switch + 1, 145, 1000, 2500, 6000,
+                 8160):
+        a = rng.getrandbits(bits) | 1 << (bits - 1)
+        e = rng.getrandbits(bits + 4000)
+        while math.gcd(a, e) > 1:
+            e += 1
+        want = pow(e, -1, a)
+        assert qr._inverse(e, a) == want, bits
+        g, _, c0, _ = qr._partial_euclid(a, e % a, 0)
+        assert (g, c0 % a) == (1, want), bits
+        # a shared factor is refused on both sides of the switch
+        with pytest.raises(ValueError):
+            qr._inverse(3 * e, 3 * a)
+
+
+def prime_form(disc, rng):
+    """[p, b, (b^2 - disc)/4p] for a random odd prime p split in disc."""
+    primes = primes_up_to(5000)[1:]
+    while True:
+        p = rng.choice(primes)
+        r = sqrt_mod(disc, p) if disc % p else None
+        if r is not None:
+            b = r if r % 2 == disc % 2 else p - r
+            return p, b, (b * b - disc) // (4 * p)
+
+
+def transformed(form, bits, rng):
+    """form(m11 x + m12 y, m21 x + m22 y) for a random matrix of SL2(Z)
+    with a first column of about bits bits; bits 0 keeps the form."""
+    if bits == 0:
+        return form
+    A, B, C = form
+    m11, m21 = rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1
+    while math.gcd(m11, m21) > 1:
+        m21 += 1
+    m22 = pow(m11, -1, m21)
+    m12 = (m11 * m22 - 1) // m21
+    return (A * m11 * m11 + B * m11 * m21 + C * m21 * m21,
+            2 * A * m11 * m12 + B * (m11 * m22 + m12 * m21)
+            + 2 * C * m21 * m22,
+            A * m12 * m12 + B * m12 * m22 + C * m22 * m22)
+
+
+def test_big_ideal_reduction_matches_plain_reduce():
+    # ideals (a, w - t) of a random class, moved far from reduced by an
+    # SL2 matrix: a from a few bits to 20000 bits, below and above
+    # sqrt|disc|, with |disc| from 3 to about 10^40 of both parities.
+    # push_to_maximal is given S = 1, so that it extends (a, y - t) to
+    # the order of discriminant disc itself.
+    rng = random.Random(17)
+    discs = [-3, -4, -7, -8, -23, -56]
+    for _ in range(12):
+        m = rng.getrandbits(rng.randrange(2, 131))
+        discs += [-4 * m - 4, -4 * m - 3]
+    checked = not_ambiguous = 0
+    for i, disc in enumerate(discs):
+        sigma = disc % 2
+        rho = (disc - sigma) // 4
+        for bits in (0, 3, 200, 2000, 9990 if i in (0, 28) else 700):
+            a, b, _ = transformed(prime_form(disc, rng), bits, rng)
+            while sigma and a % 2 == 0:     # (a, y - t) needs a odd
+                a, b, _ = transformed(prime_form(disc, rng), bits, rng)
+            t = (b + sigma) // 2 % a
+            want = IntBinaryForm(*qr._reduce(
+                a, 2 * t - sigma, (t * t - sigma * t - rho) // a))
+            not_ambiguous += want.b2 not in (0, want.a, -want.a) \
+                and want.a != want.c
+            D = disc // 4 if sigma == 0 else disc
+            I = QuadIdeal(D, 1, a, t if sigma == 0 else (2 * t - 1) % a)
+            cd = ConductorData(value=D, S=1, d=D, disc_max=disc,
+                               conductor=1 + sigma, S_factors=())
+            got = qr.push_to_maximal(I, cd)
+            assert (got.disc, got.rep) == (disc, want), (disc, bits)
+            if sigma == 0:
+                assert ideal_to_class(I).rep == want, (disc, bits)
+            checked += 1
+    assert checked == 5 * len(discs)
+    # a class equal to its inverse would not notice a flipped orientation
+    assert not_ambiguous > checked // 2
+
+
+def test_class_from_hnf_refuses_a_non_ideal():
+    # a must divide N(w - t), which every caller guarantees; with no
+    # Euclid step and with many
+    for a, t in ((7, 2), (2 ** 200 + 1, 3 ** 100)):
+        with pytest.raises(InternalInconsistencyError, match="not divide"):
+            qr._class_from_hnf(-20, a, t)

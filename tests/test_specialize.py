@@ -18,7 +18,7 @@ from hyperclass.errors import (
     OrderBoundError,
     PositiveValueError,
 )
-from hyperclass import integral_forms
+from hyperclass import integral_forms, quadring
 from hyperclass.integral_forms import (
     AltMumfordForm,
     coprime_shift,
@@ -34,6 +34,7 @@ from hyperclass.jacobian import (
 )
 from hyperclass.polyarith import IntPoly, RatPoly, fixed_divisor
 from hyperclass.quadring import (
+    FACTOR_BOUND,
     IdealClass,
     IntBinaryForm,
     class_number_disc,
@@ -406,7 +407,7 @@ def test_squarefree_filter_matches_square_part():
         nb, fd_f = curve.negativity_bound, fixed_divisor(curve.f)
         want = [n for n in range(nb, n_lo - 1, -1)
                 if square_part(curve.f(n) // fd_f) == 1]
-        got = list(_descending(curve, nb, n_lo, True, 10 ** 6))
+        got = [n for n, _ in _descending(curve, nb, n_lo, True, 10 ** 6)]
         assert got == want, f
 
 
@@ -432,6 +433,31 @@ def test_find_order_at_least_squarefree_only_skips_unfactored_value():
                               progress=seen.__setitem__)
     assert got is None
     assert seen[UNFACTORED_N] is None
+
+
+def test_unfactored_value_is_factored_once(monkeypatch):
+    # the filter's refusal reaches the row and the search: conductor_data
+    # caches no error, so reading S(n) again would factor f(n) again
+    calls = []
+
+    def counted(n, factor_bound=FACTOR_BOUND):
+        calls.append(n)
+        return factorint(n, factor_bound)
+    monkeypatch.setattr(quadring, "factorint", counted)
+    curve = dataclasses.replace(GEN2, negativity_bound=UNFACTORED_N)
+    for squarefree_only in (False, True):
+        calls.clear()
+        rows = scan(GEN2, Q2, UNFACTORED_N, UNFACTORED_N,
+                    squarefree_only=squarefree_only, factor_bound=1)
+        assert rows[0].error.startswith("FactorizationBoundError")
+        assert len(calls) == 1, squarefree_only
+        # the search refuses this imprimitive n before it reads S(n), so
+        # only the filter factors f(n)
+        calls.clear()
+        assert find_order_at_least(curve, Q2, 2, UNFACTORED_N,
+                                   squarefree_only=squarefree_only,
+                                   factor_bound=1) is None
+        assert len(calls) == squarefree_only
 
 
 def test_find_order_at_least_squarefree_only_propagates_inconsistency(
