@@ -402,6 +402,10 @@ def test_class_order_matches_repeated_composition():
             want = repeated_composition_order(F)
             assert x.order() == want, (disc, F)
             assert x.order_dividing(h) == want, (disc, F)
+            if disc >= -1000:
+                assert x.order(cap=want) == want, (disc, F)
+                with pytest.raises(OrderBoundError):
+                    x.order(cap=want - 1)
 
 
 # (order, disc) of the class of [2, 1, (1 - disc)/8], with orders on the
@@ -424,6 +428,85 @@ def test_class_order_on_step_boundaries(k, disc):
     assert x.order(cap=k) == k
     with pytest.raises(OrderBoundError):
         x.order(cap=k - 1)
+
+
+# (order, disc) of the class of [2, 1, (1 - disc)/8], with orders on the
+# edges of the search's schedule, 16 babies and growth 4: the last baby
+# event 2s0 = 32, the first window [33, 65] centred at 49 and the next
+# from 66, the last window before the first doubling [1023, 1055], the
+# first after it [1056, 1120], and one past that
+SCHEDULE_ORDERS = [
+    (16, -407), (32, -1119), (33, -839), (65, -4271), (66, -3599),
+    (1055, -503039), (1056, -553199), (1120, -564695), (1121, -366791),
+]
+
+
+@pytest.mark.parametrize("k, disc", SCHEDULE_ORDERS)
+def test_class_order_on_schedule_edges(k, disc):
+    assert (qr._BSGS_BABIES, qr._BSGS_GROWTH) == (16, 4)
+    x = IdealClass.from_form(IntBinaryForm(2, 1, (1 - disc) // 8))
+    assert x.disc == disc
+    assert repeated_composition_order(x.rep) == k
+    assert x.order() == k
+    assert x.order(cap=k) == k
+    with pytest.raises(OrderBoundError):
+        x.order(cap=k - 1)
+
+
+@pytest.mark.parametrize("form, k", [
+    ((2, 0, 3), 2),     # b = 0, disc -24
+    ((2, 2, 3), 2),     # b = a, disc -20
+    ((2, 1, 2), 2),     # a = c, disc -15
+    ((2, 1, 3), 3),     # x^2 = x^-1, disc -23
+    ((2, 1, 5), 4),     # x^2 is its own inverse, disc -39
+    ((2, 1, 6), 5),     # x^3 = x^-2, disc -47
+])
+def test_class_order_ends_during_the_baby_steps(form, k):
+    x = IdealClass.from_form(IntBinaryForm(*form))
+    assert x.rep == IntBinaryForm(*form)
+    assert repeated_composition_order(x.rep) == k
+    assert x.order() == k
+    assert x.order(cap=k) == k
+    with pytest.raises(OrderBoundError, match=f"exceeds the cap {k - 1}$"):
+        x.order(cap=k - 1)
+
+
+def test_class_order_matches_order_dividing_on_large_discriminants():
+    # random classes of discriminants -p, p = 7 mod 8 prime in [10^4, 10^6],
+    # whose class numbers are among the largest there: a few orders pass
+    # 1055, where the babies first double
+    rng = random.Random(29)
+    primes = primes_up_to(2000)[1:]
+    orders = []
+    while len(orders) < 150:
+        p = rng.randrange(10 ** 4, 10 ** 6 + 1)
+        if p % 8 != 7 or not is_probable_prime(p):
+            continue
+        F = compose(random_prime_form(rng, -p, primes),
+                    random_prime_form(rng, -p, primes))
+        x = IdealClass.from_form(F)
+        k = x.order()
+        assert k == x.order_dividing(class_number_disc(-p)), F
+        orders.append(k)
+    assert sum(k > 1055 for k in orders) >= 3, sorted(orders)
+
+
+def test_class_order_refuses_a_colliding_baby(monkeypatch):
+    # a kernel that returns x^-16 in place of x^17, the first baby past
+    # the initial 16, makes that baby meet an earlier one
+    x = IdealClass.from_form(IntBinaryForm(2, 1, (1 + 553199) // 8))
+    t = (x.rep.a, x.rep.b2, x.rep.c)
+    one = qr._principal(x.disc)
+    x17, x16 = qr._power(t, 17, one), qr._power(t, 16, one)
+    kernel = qr._compose
+
+    def wrong(f, g):
+        got = kernel(f, g)
+        return qr._reduce(x16[0], -x16[1], x16[2]) if got == x17 else got
+    monkeypatch.setattr(qr, "_compose", wrong)
+    with pytest.raises(InternalInconsistencyError,
+                       match="gives the order 33 .* up to 1055 was"):
+        x.order()
 
 
 def test_class_powers():
@@ -920,6 +1003,29 @@ def test_extend_ideal_direct_matches_generators():
         assert extend_ideal(a, b, e, D) == \
             ideal_from_generators(D, [(a, 0), (-b, e)])
         seen += 1
+
+
+def test_extend_ideal_with_entries_longer_than_a():
+    # b and e far longer than a, as for large multiples of a divisor: the
+    # same ideal as the span's own normal form
+    rng = random.Random(83)
+    seen = 0
+    while seen < 100:
+        a = rng.randrange(2, 10 ** 6)
+        e = rng.randrange(1, 10 ** 40)
+        if math.gcd(a, e) != 1:
+            continue
+        t = rng.randrange(a)
+        D = t * t - a * rng.randrange(t * t // a + 1, t * t // a + 10 ** 6)
+        b = e * t % a + a * rng.randrange(10 ** 40)
+        assert extend_ideal(a, b, e, D) == \
+            ideal_from_generators(D, [(a, 0), (-b, e)])
+        seen += 1
+    # a refusal names the sizes of the entries given, not of their residues
+    with pytest.raises(DivisibilityError) as err:
+        extend_ideal(7, 10 ** 5000, 10 ** 4000, -2)
+    assert str(err.value) == ("a of 3 bits does not divide b^2 - e^2*D "
+                              "(b, e, D of 16610, 13288, 2 bits)")
 
 
 def test_extend_ideal_refusal_names_sizes_not_values():
