@@ -49,7 +49,7 @@ from .jacobian import (
 )
 from .polyarith import IntPoly, RatPoly, discriminant, fixed_divisor
 from .quadring import class_number
-from .specialize import ROW_FIELDS, find_order_at_least, scan, specialize_form
+from .specialize import ROW_FIELDS, find_order_at_least, scan
 
 
 def curve_from_config(cfg: ExperimentConfig) -> OddHyperellipticCurve:
@@ -217,7 +217,7 @@ def cmd_search(args) -> int:
     cfg = _config_with_flags(args)
     curve = curve_from_config(cfg)
     Q = require_divisor(cfg, curve)
-    k, floor, bound = cfg.min_order, cfg.floor, cfg.factor_bound
+    k, floor = cfg.min_order, cfg.floor
     if k is None:
         raise ConfigError("search needs a target: config 'min_order' "
                           "or --min-order")
@@ -233,19 +233,17 @@ def cmd_search(args) -> int:
                     or order > stats["max_order_seen"]:
                 stats["max_order_seen"] = order
 
-    n = find_order_at_least(curve, Q, k, floor,
+    s = find_order_at_least(curve, Q, k, floor,
                             squarefree_only=cfg.squarefree_only,
-                            factor_bound=bound, progress=note)
-    if n is None:
+                            factor_bound=cfg.factor_bound, progress=note)
+    if s is None:
         print(f"no n >= {floor} with pairing order >= {k}", file=sys.stderr)
         for key in ("examined", "defined", "max_order_seen"):
             print(f"{key} = {stats[key]}", file=sys.stderr)
         return 1
-    # h is read before the order, which divides it out and so certifies it
-    s = specialize_form(to_alt_mumford(curve, Q), curve, n, bound)
-    h = s.h_maximal
+    h = s.h_maximal     # before any line: a refused h prints no report
     cls = s.maximal_class
-    print(f"n = {n}")
+    print(f"n = {s.n}")
     print(f"f(n) = {s.fval}")
     print(f"form = {cls.rep}")
     print(f"disc = {cls.disc}")

@@ -58,11 +58,12 @@ from .errors import (
 )
 from .polyarith import xgcd
 
-# Resource limits: the default rho budget of factorint, the cap on a
-# class order, and the largest |disc| whose class number is counted (its
-# sieves take about 1.9 GB at the cap).  Past them the tool raises
-# FactorizationBoundError, OrderBoundError or ClassNumberBoundError
-# instead of computing on.
+# Resource limits: the default rho budget of factorint, the largest
+# class order that IdealClass.order searches for (the bound on its baby
+# table; an order found by order_dividing is exact and not capped), and
+# the largest |disc| whose class number is counted (its sieves take about
+# 1.9 GB at the cap).  Past them the tool raises FactorizationBoundError,
+# OrderBoundError or ClassNumberBoundError instead of computing on.
 FACTOR_BOUND = 10 ** 6
 ORDER_CAP = 10 ** 7
 DISC_CAP = 10 ** 17
@@ -136,7 +137,9 @@ def primes_up_to(limit: int) -> list[int]:
     return _SIEVE_PRIMES[:bisect_right(_SIEVE_PRIMES, limit)]
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the primes to 41: those to 37 pass the composite 318665857834031151167461,
+# and the least strong pseudoprime to all of them is 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:

@@ -37,7 +37,6 @@ from .errors import (
     HyperclassError,
     InternalInconsistencyError,
     NotPrimitiveError,
-    OrderBoundError,
     PositiveValueError,
 )
 from .integral_forms import AltMumfordForm, coprime_shift, to_alt_mumford
@@ -45,7 +44,6 @@ from .jacobian import MumfordDivisor
 from .polyarith import fixed_divisor
 from .quadring import (
     FACTOR_BOUND,
-    ORDER_CAP,
     ConductorData,
     IdealClass,
     QuadIdeal,
@@ -132,8 +130,9 @@ class Specialisation:
 
     Each derived field is computed once, at first use, so a caller pays
     only for what it reads: the class in the order never factors f(n),
-    and no class order is computed unless asked for.  The ideal raises
-    NotPrimitiveError when the value form is imprimitive.
+    and no class order is computed unless an order or a class number is
+    read, since h_maximal is checked against order_maximal.  The ideal
+    raises NotPrimitiveError when the value form is imprimitive.
     """
 
     n: int
@@ -179,29 +178,25 @@ class Specialisation:
         which lies in the kernel of the push to O_K, so its order divides
         the kernel order."""
         om = self.order_maximal
-        k = (self.delta_class ** om).order_dividing(
+        return om * (self.delta_class ** om).order_dividing(
             kernel_order(self.conductor))
-        if om * k > ORDER_CAP:
-            raise OrderBoundError(f"class order exceeds the cap {ORDER_CAP}")
-        return om * k
 
     @cached_property
     def order_maximal(self) -> int:
-        """Baby-step giant-step; or, once h_maximal has been read, the
-        order found by dividing it out.  That search ends with a power
-        check, so an h_maximal that the order does not divide raises
-        InternalInconsistencyError instead of being reported."""
-        if "h_maximal" not in self.__dict__:
-            return self.maximal_class.order()
-        order = self.maximal_class.order_dividing(self.h_maximal)
-        if order > ORDER_CAP:
-            raise OrderBoundError(f"class order exceeds the cap {ORDER_CAP}")
-        return order
+        """Order of maximal_class, by baby-step giant-step."""
+        return self.maximal_class.order()
 
     @cached_property
     def h_maximal(self) -> int:
-        """Class number of the maximal order."""
-        return class_number_disc(self.conductor.disc_max)
+        """Class number of the maximal order.  Reading it also computes
+        order_maximal: an h that the order does not divide raises
+        InternalInconsistencyError instead of being reported."""
+        h = class_number_disc(self.conductor.disc_max)
+        if h % self.order_maximal:
+            raise InternalInconsistencyError(
+                f"the class number {h} of disc {self.conductor.disc_max} is "
+                f"not a multiple of the class order {self.order_maximal}")
+        return h
 
     @cached_property
     def h_order(self) -> int:
@@ -316,14 +311,13 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
         rep = s.delta_class.rep
         row.form_a, row.form_b2, row.form_c = rep.a, rep.b2, rep.c
         if class_numbers:
-            s.h_maximal     # read first: the orders then divide it out
+            # first: a disc past DISC_CAP is refused before its order search
+            row.h_maximal = s.h_maximal
+            row.h_order = s.h_order
         row.order_order = s.order_order
         row.order_maximal = s.order_maximal
         row.pairing_status = smooth_section_status(s.fval, fprime(n),
                                                    s.conductor.S)
-        if class_numbers:
-            row.h_maximal = s.h_maximal
-            row.h_order = s.h_order
     except HyperclassError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row
@@ -382,8 +376,9 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
                         k: int, n_floor: int, *,
                         squarefree_only: bool = False,
                         factor_bound: int = FACTOR_BOUND,
-                        progress=None) -> int | None:
-    """Largest n <= negativity bound with pairing order >= k, or None.
+                        progress=None) -> Specialisation | None:
+    """The record of the largest n <= negativity bound with pairing order
+    >= k, or None.  Its order_maximal is already computed.
 
     Walks n downward from the negativity bound to n_floor; values where
     the class is undefined or fails are skipped, except that an
@@ -407,5 +402,5 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
         if progress is not None:
             progress(n, order)
         if order is not None and order >= k:
-            return n
+            return s
     return None

@@ -232,29 +232,49 @@ def test_search_exhausted(tmp_path, capsys):
 
 def test_search_computes_no_order_after_the_hit(tmp_path, capsys,
                                               monkeypatch):
-    # the hit's order comes from the search itself; the report after it
-    # must not run the class-order loop again
-    found = []
+    # the hit's order comes from the search itself, and the report reads
+    # the search's record of it: no class-order loop and no second
+    # specialisation after the search, and one class number
+    found, examined, specialised, counted = [], [], [], []
     search = cli.find_order_at_least
     order = IdealClass.order
+    specialise = specialize.specialize_form
+    count = specialize.class_number_disc
 
-    def find(*args, **kwargs):
-        found.append(search(*args, **kwargs))
+    def find(*args, progress, **kwargs):
+        def note(n, o):
+            examined.append(n)
+            progress(n, o)
+        found.append(search(*args, progress=note, **kwargs))
         return found[-1]
 
     def guarded_order(self, *args):
         assert not found, "class order computed after the search"
         return order(self, *args)
 
+    def counted_specialise(form, curve, n, *args):
+        specialised.append(n)
+        return specialise(form, curve, n, *args)
+
+    def counted_count(disc):
+        counted.append(disc)
+        return count(disc)
+
     monkeypatch.setattr(cli, "find_order_at_least", find)
     monkeypatch.setattr(IdealClass, "order", guarded_order)
+    for module in (specialize, cli):    # cli, should it import it again
+        monkeypatch.setattr(module, "specialize_form", counted_specialise,
+                            raising=False)
+    monkeypatch.setattr(specialize, "class_number_disc", counted_count)
     cfg = write_config(tmp_path, BASE)
     code, out, err = run(
         ["search", "--config", cfg, "--min-order", "5", "--floor", "-50"],
         capsys)
     assert code == 0, err
-    assert found == [-5]
+    assert [s.n for s in found] == [-5]
     assert "order = 6" in out.splitlines()
+    assert specialised == examined == [1, 0, -1, -2, -3, -4, -5]
+    assert len(counted) == 1
 
 
 def test_search_internal_inconsistency_exits_2(tmp_path, capsys,

@@ -378,10 +378,10 @@ def test_scan_h_consistency():
 
 
 def test_find_order_at_least_known():
-    assert find_order_at_least(CURVE, Q, 2, -50) == -1
-    assert find_order_at_least(CURVE, Q, 3, -50) == -3
-    assert find_order_at_least(CURVE, Q, 5, -500) == -5
-    assert find_order_at_least(CURVE, Q, 1, -50) == 1
+    assert find_order_at_least(CURVE, Q, 2, -50).n == -1
+    assert find_order_at_least(CURVE, Q, 3, -50).n == -3
+    assert find_order_at_least(CURVE, Q, 5, -500).n == -5
+    assert find_order_at_least(CURVE, Q, 1, -50).n == 1
     assert find_order_at_least(CURVE, Q, 10**9, -30) is None
 
 
@@ -389,13 +389,14 @@ def test_find_order_at_least_progress():
     calls = []
     got = find_order_at_least(CURVE, Q, 2, -5,
                               progress=lambda n, o: calls.append((n, o)))
-    assert got == -1
+    assert got.n == -1
     assert calls == [(1, 1), (0, None), (-1, 2)]
 
 
 def test_find_order_at_least_squarefree_only():
     # same answer here: the first qualifying n has square-free value anyway
-    assert find_order_at_least(CURVE, Q, 2, -50, squarefree_only=True) == -1
+    assert find_order_at_least(CURVE, Q, 2, -50,
+                               squarefree_only=True).n == -1
 
 
 def test_squarefree_filter_matches_square_part():
@@ -513,7 +514,7 @@ def test_order_cap_skips_n_and_lands_in_the_row(monkeypatch):
     calls = []
     got = find_order_at_least(CURVE, Q, 2, -5,
                               progress=lambda n, o: calls.append((n, o)))
-    assert got == -3
+    assert got.n == -3
     assert calls == [(1, 1), (0, None), (-1, None), (-2, None), (-3, 3)]
     (row,) = scan(CURVE, Q, -1, -1)
     assert row.error == "OrderBoundError: planted"
@@ -533,16 +534,16 @@ def test_order_order_by_kernel_matches_direct_order():
     assert checked == 201
 
 
-def test_derived_order_order_raises_past_the_cap(monkeypatch):
-    # at n = -7 the order in O is 15, three times the maximal-order 5
-    form = to_alt_mumford(CURVE, Q)
-    monkeypatch.setattr(specialize, "ORDER_CAP", 14)
-    s = specialize_form(form, CURVE, -7)
-    assert s.order_maximal == 5
+def test_order_order_past_the_cap_is_reported_exactly(monkeypatch):
+    # at n = -7 the order in O is 15, three times the maximal-order 5; the
+    # cap bounds only the search for the maximal order, and the kernel
+    # route to 15 is exact
+    order = IdealClass.order
+    monkeypatch.setattr(IdealClass, "order", lambda self: order(self, 14))
+    s = specialize_form(to_alt_mumford(CURVE, Q), CURVE, -7)
+    assert (s.order_maximal, s.order_order) == (5, 15)
     with pytest.raises(OrderBoundError):
-        s.order_order
-    monkeypatch.setattr(specialize, "ORDER_CAP", 15)
-    assert specialize_form(form, CURVE, -7).order_order == 15
+        s.delta_class.order()
 
 
 @settings(max_examples=10, deadline=None)
@@ -717,8 +718,9 @@ def test_errors_are_never_cached():
 
 
 def test_class_numbers_certify_h_in_each_row(monkeypatch):
-    # with class numbers on, the order divides h out; an h that the order
-    # does not divide is refused in the row instead of being reported
+    # with class numbers on, h is checked against the order; an h that
+    # the order does not divide is refused in the row instead of being
+    # reported
     good = scan(CURVE, Q, -20, -1, class_numbers=True)
     monkeypatch.setattr(specialize, "class_number_disc", lambda disc: 1)
     bad = scan(CURVE, Q, -20, -1, class_numbers=True)
@@ -732,18 +734,33 @@ def test_class_numbers_certify_h_in_each_row(monkeypatch):
 
 
 def test_class_number_route_keeps_the_order_cap(monkeypatch):
+    # the cap bounds the maximal order's search, which h is checked
+    # against; order_order past it is exact
     good = scan(CURVE, Q, -20, -1, class_numbers=True)
-    monkeypatch.setattr(specialize, "ORDER_CAP", 6)
+    order = IdealClass.order
+    monkeypatch.setattr(IdealClass, "order", lambda self: order(self, 6))
     capped = scan(CURVE, Q, -20, -1, class_numbers=True)
-    hit = 0
+    hit = past = 0
     for g, c in zip(good, capped):
         if g.order_maximal is not None and g.order_maximal > 6:
             assert c.error == "OrderBoundError: class order exceeds the cap 6"
             assert c.h_maximal is None
             hit += 1
-        elif g.order_order is not None and g.order_order <= 6:
+        else:
             assert c == g
-    assert hit > 3
+            past += g.order_order is not None and g.order_order > 6
+    assert hit > 3 and past > 0
+
+
+def test_rows_have_the_same_orders_with_and_without_class_numbers():
+    for curve, P, n_lo in ((CURVE, Q, -150), (GEN2, Q2, -40)):
+        nb = curve.negativity_bound
+        plain = scan(curve, P, n_lo, nb)
+        with_h = scan(curve, P, n_lo, nb, class_numbers=True)
+        assert [(r.n, r.order_order, r.order_maximal, r.error)
+                for r in plain] == \
+            [(r.n, r.order_order, r.order_maximal, r.error) for r in with_h]
+        assert sum(r.h_maximal is not None for r in with_h) > 20
 
 
 def test_value_form_content_is_computed_once_per_n(monkeypatch):

@@ -46,6 +46,15 @@ def test_is_probable_prime_matches_sympy():
         assert not is_probable_prime(p * q)
 
 
+def test_strong_pseudoprime_to_the_primes_to_37_is_refused():
+    # the least strong pseudoprime to every prime base up to 37; one more
+    # base, 41, makes the test deterministic below 3.3e24
+    n = 318665857834031151167461
+    assert not is_probable_prime(n)
+    assert factorint(n) == sympy.factorint(n) == {399165290221: 1,
+                                                   798330580441: 1}
+
+
 def test_factorint_matches_sympy():
     # sizes spread over every bit length below 10^30, so small and large
     # cofactors both occur.  A rho budget of 10^4 keeps the test short; a
