@@ -241,14 +241,14 @@ def cmd_search(args) -> int:
         for key in ("examined", "defined", "max_order_seen"):
             print(f"{key} = {stats[key]}", file=sys.stderr)
         return 1
-    h = s.h_maximal     # before any line: a refused h prints no report
     cls = s.maximal_class
     print(f"n = {s.n}")
     print(f"f(n) = {s.fval}")
     print(f"form = {cls.rep}")
     print(f"disc = {cls.disc}")
     print(f"order = {s.order_maximal}")
-    print(f"class_number = {h}")
+    # last: a refused h still leaves the hit's lines above on stdout
+    print(f"class_number = {s.h_maximal}")
     return 0
 
 

@@ -117,8 +117,9 @@ _SIEVE_LIMIT = 0
 _SIEVE_PRIMES: list[int] = []
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """Cached list of primes <= limit, grown on demand."""
+def _sieve(limit: int) -> list[int]:
+    """The cached list of every prime <= _SIEVE_LIMIT, first grown to
+    limit or twice its old limit when limit is past it."""
     global _SIEVE_LIMIT, _SIEVE_PRIMES
     if limit > _SIEVE_LIMIT:
         new_limit = max(limit, 2 * _SIEVE_LIMIT, 1 << 10)
@@ -132,9 +133,67 @@ def primes_up_to(limit: int) -> list[int]:
                 flags[start::p] = bytes(len(range(start, len(flags), p)))
         _SIEVE_PRIMES = [2, *compress(range(1, new_limit + 1, 2), flags)]
         _SIEVE_LIMIT = new_limit
+    return _SIEVE_PRIMES
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """Cached list of primes <= limit, grown on demand."""
+    primes = _sieve(limit)
     if _SIEVE_LIMIT == limit:
-        return _SIEVE_PRIMES
-    return _SIEVE_PRIMES[:bisect_right(_SIEVE_PRIMES, limit)]
+        return primes
+    return primes[:bisect_right(primes, limit)]
+
+
+# Trial division tests _PRIME_BLOCK consecutive primes of the sieve at once,
+# by one gcd with their product (Bernstein, "How to find smooth parts of
+# integers", 2004), so the remainders are taken in C.  On the genus-1
+# values |n^3 - 4| and the genus-2 values |n^5 + n - 1|, blocks of 64, 256
+# and 512 primes were each slower than 128 on some set.  The products are
+# kept with the sieve list they were taken from and are built afresh when
+# the sieve is, only as far as a call's walk reaches: to 10^6 they take
+# about 0.2 MB.
+_PRIME_BLOCK = 128
+_BLOCKS_OF: list[int] = []
+_BLOCK_PRODUCTS: list[int] = []
+
+
+def _trial_division(n: int, limit: int) -> tuple[dict[int, int], int]:
+    """Strip the primes p <= limit from n >= 1: ({p: exponent}, cofactor),
+    the primes ascending.
+
+    One gcd tests a block of primes, and a block that shares a factor
+    with n is divided prime by prime until that gcd is used up.  The walk
+    stops at the first block whose least prime, squared, exceeds the
+    cofactor, which then has no prime below that least one and is 1 or a
+    prime.  So the cofactor is 1, a prime, or free of primes <= limit.
+    """
+    global _BLOCKS_OF, _BLOCK_PRODUCTS
+    primes = _sieve(limit)
+    if primes is not _BLOCKS_OF:
+        _BLOCKS_OF, _BLOCK_PRODUCTS = primes, []
+    top = bisect_right(primes, limit)
+    products = _BLOCK_PRODUCTS
+    out: dict[int, int] = {}
+    for k, start in enumerate(range(0, top, _PRIME_BLOCK)):
+        p = primes[start]
+        if p * p > n:
+            break
+        if k == len(products):
+            products.append(prod(primes[start:start + _PRIME_BLOCK]))
+        g = gcd(n, products[k])
+        if g == 1:
+            continue
+        # the last block may hold primes past limit: g keeps those
+        for p in primes[start:min(start + _PRIME_BLOCK, top)]:
+            if g % p == 0:
+                n, e = n // p, 1
+                while n % p == 0:
+                    n, e = n // p, e + 1
+                out[p] = e
+                g //= p
+                if g == 1:
+                    break
+    return out, n
 
 
 # the primes to 41: those to 37 pass the composite 318665857834031151167461,
@@ -204,30 +263,32 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
     return None
 
 
+# The trial division of factorint stops at _TRIAL_CEILING, so a cofactor
+# below its square that no prime up to there divides is a prime without
+# a primality test.  Past it only a composite with two or more primes
+# above the ceiling reaches the rho and its FACTOR_BOUND budget.
 _TRIAL_CEILING = 10 ** 6
 
 
 def factorint(n: int, factor_bound: int = FACTOR_BOUND) -> dict[int, int]:
     """Prime factorisation of |n| as {prime: exponent}; n must be nonzero.
 
-    Trial division up to min(10^6, isqrt), then Miller-Rabin plus a
-    Brent-style rho with an iteration budget of factor_bound for each
-    composite, shared by every constant the rho tries on it.  A survivor
-    beyond the budget raises FactorizationBoundError instead of guessing.
+    Trial division up to the bound min(10^6, isqrt(|n|) + 1), by block
+    gcds (_trial_division).  A cofactor below the bound squared is then 1
+    or a prime, with no Miller-Rabin.  A larger one goes to Miller-Rabin
+    plus a Brent-style rho with an iteration budget of factor_bound for
+    each composite, shared by every constant the rho tries on it.  A
+    survivor beyond the budget raises FactorizationBoundError instead of
+    guessing.
     """
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor zero")
-    out: dict[int, int] = {}
-    if n == 1:
-        return out
-    for p in primes_up_to(min(_TRIAL_CEILING, isqrt(n) + 1)):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
+    bound = min(_TRIAL_CEILING, isqrt(n) + 1)
+    out, n = _trial_division(n, bound)
+    if n < bound * bound:
+        if n > 1:
+            out[n] = 1
         return out
     stack = [n]
     while stack:
@@ -830,12 +891,13 @@ def class_number_disc(disc: int) -> int:
 
     With disc = f^2 * d0 and d0 fundamental, h(disc) = h(d0) times the
     kernel factor of the conductor f (the formula of kernel_order).  Since
-    |d0| >= 3, every prime of f is at most sqrt(-disc/3), so trial
-    division by the primes up to there finds f: nothing is factored, and
-    no FactorizationBoundError can arise.  h(d0) is counted over the
-    first coefficient a by _count_reduced_forms, in O(|disc|^(1/2 + eps))
-    time and O(|disc|^(1/2)) memory.  ClassNumberBoundError when
-    |disc| > DISC_CAP, before anything is sieved.
+    |d0| >= 3, every prime of f is at most sqrt(-disc/3), so the block
+    gcds of _trial_division with the primes up to there find f: nothing
+    is factored, and no FactorizationBoundError can arise.  h(d0) is
+    counted over the first coefficient a by _count_reduced_forms, in
+    O(|disc|^(1/2 + eps)) time and O(|disc|^(1/2)) memory.
+    ClassNumberBoundError when |disc| > DISC_CAP, before anything is
+    sieved.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"{disc} is not a negative discriminant")
@@ -844,7 +906,9 @@ def class_number_disc(disc: int) -> int:
             f"a discriminant of {(-disc).bit_length()} bits is past the "
             f"class-number cap |disc| <= {DISC_CAP}")
     d0, f, f_primes = disc, 1, []
-    for p in primes_up_to(isqrt(-disc // 3)):
+    # a prime that _trial_division leaves in its cofactor divides disc
+    # once, so it is not a prime of f
+    for p in _trial_division(-disc, isqrt(-disc // 3))[0]:
         pp, f_before = p * p, f
         # for p = 2, d0/4 must stay a discriminant: d0/4 = 0, 1 mod 4
         while d0 % pp == 0 and (p > 2 or d0 // 4 % 4 < 2):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyperclass import cli, specialize
+from hyperclass import cli, quadring, specialize
 from hyperclass.cli import build_parser, main
 from hyperclass.config import parse_config_text
 from hyperclass.curve import new_curve
@@ -275,6 +275,25 @@ def test_search_computes_no_order_after_the_hit(tmp_path, capsys,
     assert "order = 6" in out.splitlines()
     assert specialised == examined == [1, 0, -1, -2, -3, -4, -5]
     assert len(counted) == 1
+
+
+def test_search_keeps_its_hit_when_h_is_refused(tmp_path, capsys,
+                                               monkeypatch):
+    # the golden search's hit, with its disc -62516 past a cap of 1000:
+    # the lines that need no class number are printed before h is read
+    monkeypatch.setattr(quadring, "DISC_CAP", 1000)
+    cfg = write_config(tmp_path, BASE)
+    code, out, err = run(
+        ["search", "--config", cfg, "--min-order", "50", "--floor", "-100"],
+        capsys)
+    assert code == 2
+    assert out == ("n = -25\n"
+                   "f(n) = -15629\n"
+                   "form = [27,4,579]\n"
+                   "disc = -62516\n"
+                   "order = 142\n")
+    assert err == ("error: ClassNumberBoundError: a discriminant of 16 bits "
+                   "is past the class-number cap |disc| <= 1000\n")
 
 
 def test_search_internal_inconsistency_exits_2(tmp_path, capsys,

@@ -167,6 +167,111 @@ def test_factor_bound_covers_every_rho_constant(monkeypatch):
     assert calls <= 2 * bound // 128 + 64
 
 
+def reference_factorint(n, factor_bound=qr.FACTOR_BOUND):
+    """factorint before its block gcds: one % per prime up to the same
+    trial bound, then Miller-Rabin on every cofactor."""
+    n = abs(n)
+    out = {}
+    for p in primes_up_to(min(qr._TRIAL_CEILING, math.isqrt(n) + 1)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        root = math.isqrt(m)
+        if root * root == m:
+            stack.extend((root, root))
+            continue
+        d = qr._brent_rho(m, factor_bound)
+        if d is None:
+            raise FactorizationBoundError(m)
+        stack.extend((d, m // d))
+    return out
+
+
+def assert_factors_as_reference(values, budgets=(qr.FACTOR_BOUND,)):
+    for n in values:
+        for budget in budgets:
+            try:
+                want = reference_factorint(n, budget)
+            except FactorizationBoundError:
+                with pytest.raises(FactorizationBoundError):
+                    factorint(n, budget)
+            else:
+                assert factorint(n, budget) == want, (n, budget)
+
+
+def test_factorint_matches_the_reference_on_curve_values():
+    # the genus-1 values below 10^9 never reach the rho; the genus-2 ones
+    # pass 10^12 from n = -252 on, where the trial bound is the ceiling
+    assert_factors_as_reference(n ** 3 - 4 for n in range(-1000, 2))
+    assert_factors_as_reference(n ** 5 + n - 1 for n in range(-251, 1))
+    assert_factors_as_reference((n ** 5 + n - 1 for n in range(-300, -251)),
+                                budgets=(qr.FACTOR_BOUND, 10))
+
+
+def test_factorint_matches_the_reference_past_the_ceiling():
+    # p^2 needs the perfect-square step, p*q the rho, which a budget of
+    # 10 does not cover; p, q and r are the least primes above 10^6
+    p, q, r = 1000003, 1000033, 1000037
+    values = [p * p, p * q, p * p * q, 2 * 3 ** 5 * p * q, p * q * r,
+              999983 * p, 999983 * p * q]
+    assert_factors_as_reference(values, budgets=(qr.FACTOR_BOUND, 10))
+
+
+def test_factorint_matches_the_reference_across_block_boundaries():
+    # a sieve past 10^6 puts primes above the ceiling into the last block
+    # walked; neighbours p_i p_(i+1) put the trial bound between them
+    primes = primes_up_to(2 * 10 ** 6)
+    values = []
+    for i in (127, 255, 12799, 78463, 78497):
+        a, b, c = primes[i - 1:i + 2]
+        values += [a * b, b * c, a * a * b, a * b * b * c, a * b * c * 7]
+    assert qr._PRIME_BLOCK == 128 and primes[78497] == 999983
+    assert_factors_as_reference(values, budgets=(qr.FACTOR_BOUND, 10))
+
+
+def test_factorint_matches_the_reference_on_sympy_built_values():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(103)
+    values = []
+    for k in (2, 2, 3, 3) * 5:
+        values.append(math.prod(sympy.randprime(10 ** 3, 10 ** 6)
+                                for _ in range(k)))
+    for k in (2, 3) * 4:
+        values.append(sympy.randprime(10 ** 6, 10 ** 9) * math.prod(
+            sympy.randprime(10 ** 3, 10 ** 6) for _ in range(k)))
+    values += [rng.choice((1, 4, 12)) * v for v in values[:8]]
+    assert_factors_as_reference(values, budgets=(qr.FACTOR_BOUND, 10))
+
+
+def test_scan_values_are_factored_without_a_primality_test(monkeypatch):
+    # the genus-1 scan's values are below 10^12: the trial division to
+    # isqrt + 1 leaves 1 or a prime, which needs no Miller-Rabin
+    calls = 0
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(qr, "is_probable_prime", counted)
+    for n in range(-400, 2):
+        fac = factorint(n ** 3 - 4)
+        assert math.prod(p ** e for p, e in fac.items()) == abs(n ** 3 - 4)
+    assert calls == 0
+    # past the ceiling squared a cofactor is tested: (10^6 + 3)^2
+    assert factorint(1000003 ** 2) == {1000003: 2} and calls > 0
+
+
 def test_square_part_and_squarefree():
     assert square_part(12) == 2
     assert square_part(-12) == 2

@@ -34,6 +34,23 @@ def test_primes_up_to_matches_sympy(monkeypatch):
         assert primes_up_to(limit) == list(sympy.primerange(limit + 1)), limit
 
 
+def test_factorint_after_a_sieve_reset_matches_sympy(monkeypatch):
+    # the block products follow the sieve they were taken from: a sieve to
+    # 1024 ends inside the second block (727 to 1619), and that short
+    # product must not be read once the sieve has grown past it
+    monkeypatch.setattr(qr, "_SIEVE_LIMIT", 0)
+    monkeypatch.setattr(qr, "_SIEVE_PRIMES", [])
+    values = [1019 * 1021, 1031 * 1033, 2 * 1601 * 1607 * 1609,
+              999983 * 1000003, 997 * 999979 * 1000003 * 1000033]
+    for n in values:
+        assert factorint(n) == sympy.factorint(n), n
+    # a fresh sieve straight past 10^6, then a smaller one again
+    for n in values[::-1]:
+        monkeypatch.setattr(qr, "_SIEVE_LIMIT", 0)
+        monkeypatch.setattr(qr, "_SIEVE_PRIMES", [])
+        assert factorint(n) == sympy.factorint(n), n
+
+
 def test_is_probable_prime_matches_sympy():
     rng = random.Random(83)
     for _ in range(200):
