@@ -246,8 +246,8 @@ def cmd_search(args) -> int:
     print(f"f(n) = {s.fval}")
     print(f"form = {cls.rep}")
     print(f"disc = {cls.disc}")
+    # a capped order or a refused h raises only after the lines above it
     print(f"order = {s.order_maximal}")
-    # last: a refused h still leaves the hit's lines above on stdout
     print(f"class_number = {s.h_maximal}")
     return 0
 

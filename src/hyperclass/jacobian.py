@@ -145,8 +145,6 @@ def jac_add(curve: OddHyperellipticCurve, D1: MumfordDivisor,
 
 def jac_neg(curve: OddHyperellipticCurve, D: MumfordDivisor) -> MumfordDivisor:
     """Image under the hyperelliptic involution, the group inverse."""
-    if D.a.degree == 0:
-        return identity()
     return MumfordDivisor(D.a, (-D.b) % D.a)
 
 

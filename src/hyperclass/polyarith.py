@@ -280,7 +280,7 @@ def _pretty(coeffs) -> str:
             parts.append("- " + term if c < 0 else "+ " + term)
         else:
             parts.append(term)
-    return " ".join(parts) if parts else "0"
+    return " ".join(parts)
 
 
 def rat_xgcd(p: RatPoly, q: RatPoly):

@@ -37,6 +37,7 @@ from .errors import (
     HyperclassError,
     InternalInconsistencyError,
     NotPrimitiveError,
+    OrderBoundError,
     PositiveValueError,
 )
 from .integral_forms import AltMumfordForm, coprime_shift, to_alt_mumford
@@ -44,6 +45,7 @@ from .jacobian import MumfordDivisor
 from .polyarith import fixed_divisor
 from .quadring import (
     FACTOR_BOUND,
+    ORDER_CAP,
     ConductorData,
     IdealClass,
     QuadIdeal,
@@ -295,16 +297,23 @@ class SpecializationRow:
 ROW_FIELDS = tuple(f.name for f in fields(SpecializationRow))
 
 
+def _has_square(s: Specialisation, fd_f: int) -> bool:
+    """Whether f(n)/fd_f has a square factor: a prime p with p^2 | f(n)/fd_f
+    divides S(n), so the primes of S(n) in the record's conductor suffice."""
+    return any(s.fval // fd_f % (p * p) == 0
+               for p, _ in s.conductor.S_factors)
+
+
 def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
               fprime, n: int, class_numbers: bool, factor_bound: int,
-              unfactored: HyperclassError | None) -> SpecializationRow:
+              fd_f: int | None) -> SpecializationRow | None:
     row = SpecializationRow(n=n)
     try:
         s = specialize_form(form, curve, n, factor_bound)
         row.f_n = s.fval
-        if unfactored is not None:
-            raise unfactored
         row.S_n = s.conductor.S
+        if fd_f is not None and _has_square(s, fd_f):
+            return None
         row.primitive = s.primitive
         if not row.primitive:
             return row
@@ -323,33 +332,6 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
     return row
 
 
-def _descending(curve: OddHyperellipticCurve, n_hi: int, n_lo: int,
-                squarefree_only: bool, factor_bound: int):
-    """Pairs (n, unfactored) for n from n_hi down to n_lo; with
-    squarefree_only, only those n where f(n)/fd(f) is square-free.
-
-    A prime p with p^2 | f(n)/fd(f) divides S(n), so the test reads the
-    primes of S(n) off conductor_data(f(n)), the factorisation that the
-    record of n then finds in the cache.  An n whose f(n) cannot be
-    factored stays, with the error of that factorisation as unfactored,
-    which a scan keeps in the row and a search handles as for any other
-    n, without factoring f(n) a second time: conductor_data caches no
-    error.  unfactored is None for every other n.
-    """
-    fd_f = fixed_divisor(curve.f)
-    for n in range(n_hi, n_lo - 1, -1):
-        if squarefree_only:
-            v = curve.f(n)
-            try:
-                S_factors = conductor_data(v, factor_bound).S_factors
-            except HyperclassError as exc:
-                yield n, exc
-                continue
-            if any(v // fd_f % (p * p) == 0 for p, _ in S_factors):
-                continue
-        yield n, None
-
-
 def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
          n_lo: int, n_hi: int, *, class_numbers: bool = False,
          squarefree_only: bool = False,
@@ -358,7 +340,8 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
 
     n_hi must not exceed the curve's negativity bound.  With
     squarefree_only, rows where f(n)/fd(f) has a square factor are
-    dropped.  Per-row failures land in the row's error field.
+    dropped; an n whose f(n) cannot be factored keeps its row, with the
+    error.  Per-row failures land in the row's error field.
     """
     if n_hi > curve.negativity_bound:
         raise PositiveValueError(
@@ -366,10 +349,10 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
             f"{curve.negativity_bound}")
     form = to_alt_mumford(curve, Q)
     fprime = curve.f.derivative()
-    return [_scan_row(curve, form, fprime, n, class_numbers, factor_bound,
-                      unfactored)
-            for n, unfactored in _descending(curve, n_hi, n_lo,
-                                             squarefree_only, factor_bound)]
+    fd_f = fixed_divisor(curve.f) if squarefree_only else None
+    rows = (_scan_row(curve, form, fprime, n, class_numbers, factor_bound,
+                      fd_f) for n in range(n_hi, n_lo - 1, -1))
+    return [row for row in rows if row is not None]
 
 
 def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -378,29 +361,36 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
                         factor_bound: int = FACTOR_BOUND,
                         progress=None) -> Specialisation | None:
     """The record of the largest n <= negativity bound with pairing order
-    >= k, or None.  Its order_maximal is already computed.
+    >= k, or None.
 
-    Walks n downward from the negativity bound to n_floor; values where
-    the class is undefined or fails are skipped, except that an
-    InternalInconsistencyError propagates.  progress, if given, is called
-    with (n, order or None) for every examined n.
+    Walks n downward from the negativity bound to n_floor, past the n
+    that squarefree_only drops as scan does; values where the class is
+    undefined or fails are skipped, except that an
+    InternalInconsistencyError propagates.  An order past ORDER_CAP meets
+    any k up to the cap: that hit's order_maximal raises OrderBoundError
+    when read, and every other hit's is already computed.  progress, if
+    given, is called with (n, order or None) for every examined n.
     """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
     form = to_alt_mumford(curve, Q)
-    for n, unfactored in _descending(curve, curve.negativity_bound, n_floor,
-                                     squarefree_only, factor_bound):
+    fd_f = fixed_divisor(curve.f) if squarefree_only else None
+    for n in range(curve.negativity_bound, n_floor - 1, -1):
+        hit = False
         try:
             s = specialize_form(form, curve, n, factor_bound)
-            if unfactored is not None:
-                raise unfactored
+            if squarefree_only and _has_square(s, fd_f):
+                continue
             order = s.order_maximal
+            hit = order >= k
+        except OrderBoundError:
+            order, hit = None, k <= ORDER_CAP
         except InternalInconsistencyError:
             raise
         except HyperclassError:
             order = None
         if progress is not None:
             progress(n, order)
-        if order is not None and order >= k:
+        if hit:
             return s
     return None

@@ -13,7 +13,8 @@ from hyperclass import cli, quadring, specialize
 from hyperclass.cli import build_parser, main
 from hyperclass.config import parse_config_text
 from hyperclass.curve import new_curve
-from hyperclass.errors import ConfigError, InternalInconsistencyError
+from hyperclass.errors import (ConfigError, InternalInconsistencyError,
+                               OrderBoundError)
 from hyperclass.jacobian import from_point, jac_smul
 from hyperclass.polyarith import IntPoly
 from hyperclass.quadring import IdealClass
@@ -167,14 +168,15 @@ def test_scan_squarefree_only_keeps_unfactored_value(tmp_path, capsys):
 def test_search_squarefree_only_skips_unfactored_value(tmp_path, capsys,
                                                        monkeypatch):
     # the walk starts at -3008 instead of the negativity bound 0, so that
-    # it examines five values instead of 3000
+    # it examines five values instead of 3000; the target is past
+    # ORDER_CAP, so the capped n = -3008 is not a hit
     def near_curve(f):
         return dataclasses.replace(new_curve(f), negativity_bound=-3008)
     monkeypatch.setattr(cli, "new_curve", near_curve)
     cfg = write_config(tmp_path, GEN2_CONFIG)
     code, out, err = run(
         ["search", "--config", cfg, "--squarefree-only", "--factor-bound",
-         "1", "--min-order", "10000000", "--floor", "-3012"], capsys)
+         "1", "--min-order", "10000001", "--floor", "-3012"], capsys)
     assert code == 1, err
     assert out == ""
 
@@ -294,6 +296,25 @@ def test_search_keeps_its_hit_when_h_is_refused(tmp_path, capsys,
                    "order = 142\n")
     assert err == ("error: ClassNumberBoundError: a discriminant of 16 bits "
                    "is past the class-number cap |disc| <= 1000\n")
+
+
+def test_search_reports_a_capped_hit(tmp_path, capsys, monkeypatch):
+    # the class at n = -1 (disc -20) is planted past the order cap: its
+    # order meets any target up to the cap, and the report stops at it
+    order = IdealClass.order
+
+    def capped(self, cap=quadring.ORDER_CAP):
+        if self.disc == -20:
+            raise OrderBoundError("planted")
+        return order(self, cap)
+    monkeypatch.setattr(IdealClass, "order", capped)
+    cfg = write_config(tmp_path, BASE)
+    code, out, err = run(
+        ["search", "--config", cfg, "--min-order", "2", "--floor", "-10"],
+        capsys)
+    assert code == 2
+    assert out == "n = -1\nf(n) = -5\nform = [2,2,3]\ndisc = -20\n"
+    assert err == "error: OrderBoundError: planted\n"
 
 
 def test_search_internal_inconsistency_exits_2(tmp_path, capsys,

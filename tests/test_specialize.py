@@ -35,6 +35,7 @@ from hyperclass.jacobian import (
 from hyperclass.polyarith import IntPoly, RatPoly, fixed_divisor
 from hyperclass.quadring import (
     FACTOR_BOUND,
+    ORDER_CAP,
     IdealClass,
     IntBinaryForm,
     class_number_disc,
@@ -51,7 +52,7 @@ from hyperclass.specialize import (
     ROW_FIELDS,
     Specialisation,
     _delta_ideal,
-    _descending,
+    _has_square,
     check_norm_bounds,
     delta_n,
     find_order_at_least,
@@ -400,16 +401,34 @@ def test_find_order_at_least_squarefree_only():
 
 
 def test_squarefree_filter_matches_square_part():
-    # the filter reads S(n) from conductor_data; the oracle factors
+    # the filter reads S(n) off the record's conductor; the oracle factors
     # f(n)/fd(f) afresh.  x^3 - x + 6 has fixed divisor 6.
-    for f, n_lo in (([-4, 0, 0, 1], -1500), ([-1, 1, 0, 0, 0, 1], -300),
-                    ([6, -1, 0, 1], -1500)):
+    for f, P, n_lo in (([-4, 0, 0, 1], (2, 2), -1500),
+                       ([-1, 1, 0, 0, 0, 1], (1, 1), -300),
+                       ([6, -1, 0, 1], (-2, 0), -1500)):
         curve = new_curve(IntPoly(f))
+        form = to_alt_mumford(curve, from_point(curve, *P))
         nb, fd_f = curve.negativity_bound, fixed_divisor(curve.f)
         want = [n for n in range(nb, n_lo - 1, -1)
                 if square_part(curve.f(n) // fd_f) == 1]
-        got = [n for n, _ in _descending(curve, nb, n_lo, True, 10 ** 6)]
+        got = [n for n in range(nb, n_lo - 1, -1)
+               if not _has_square(specialize_form(form, curve, n), fd_f)]
         assert got == want, f
+
+
+def test_search_and_scan_drop_the_same_n():
+    # a target past ORDER_CAP is met by no n, so the search examines
+    # every n that the scan keeps a row for
+    for curve, P, n_lo in ((CURVE, Q, -200), (GEN2, Q2, -60)):
+        seen = []
+        assert find_order_at_least(curve, P, ORDER_CAP + 1, n_lo,
+                                   squarefree_only=True,
+                                   progress=lambda n, o: seen.append(n)
+                                   ) is None
+        rows = scan(curve, P, n_lo, curve.negativity_bound,
+                    squarefree_only=True)
+        assert seen == [r.n for r in rows]
+        assert len(seen) < curve.negativity_bound - n_lo + 1
 
 
 # f(-3011) on y^2 = x^5 + x - 1 has a composite cofactor that a rho
@@ -429,7 +448,8 @@ def test_find_order_at_least_squarefree_only_skips_unfactored_value():
     # bound 0, so that it examines five values instead of 3000
     curve = dataclasses.replace(GEN2, negativity_bound=-3008)
     seen = {}
-    got = find_order_at_least(curve, Q2, 10 ** 7, -3012,
+    # a target past ORDER_CAP: the capped n = -3008 is not a hit
+    got = find_order_at_least(curve, Q2, ORDER_CAP + 1, -3012,
                               squarefree_only=True, factor_bound=1,
                               progress=seen.__setitem__)
     assert got is None
@@ -502,11 +522,14 @@ def test_find_order_at_least_propagates_inconsistency(monkeypatch):
         find_order_at_least(CURVE, Q, 2, -50)
 
 
-def test_order_cap_skips_n_and_lands_in_the_row(monkeypatch):
-    # the class at n = -1 (maximal discriminant -20) hits the order cap
+def test_order_cap_is_a_hit_up_to_the_cap_and_lands_in_the_row(
+        monkeypatch):
+    # the class at n = -1 (maximal discriminant -20) hits the order cap:
+    # its order is past ORDER_CAP, so it meets k = 2 and misses
+    # k = ORDER_CAP + 1
     order = IdealClass.order
 
-    def capped(self, cap=10 ** 7):
+    def capped(self, cap=ORDER_CAP):
         if self.disc == -20:
             raise OrderBoundError("planted")
         return order(self, cap)
@@ -514,7 +537,14 @@ def test_order_cap_skips_n_and_lands_in_the_row(monkeypatch):
     calls = []
     got = find_order_at_least(CURVE, Q, 2, -5,
                               progress=lambda n, o: calls.append((n, o)))
-    assert got.n == -3
+    assert got.n == -1
+    assert calls == [(1, 1), (0, None), (-1, None)]
+    with pytest.raises(OrderBoundError, match="planted"):
+        got.order_maximal
+    calls.clear()
+    assert find_order_at_least(CURVE, Q, ORDER_CAP + 1, -3,
+                               progress=lambda n, o: calls.append((n, o))
+                               ) is None
     assert calls == [(1, 1), (0, None), (-1, None), (-2, None), (-3, 3)]
     (row,) = scan(CURVE, Q, -1, -1)
     assert row.error == "OrderBoundError: planted"
