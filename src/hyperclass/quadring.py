@@ -23,8 +23,10 @@ IdealClass.__mul__ check the discriminants and primitivity once, at the
 public entry.  The layers meet in ideal_to_class and push_to_maximal,
 which extends an ideal of Z[sqrt(D)] to the maximal order of Q(sqrt(D))
 in the basis {1, w}, w = (s + sqrt(disc))/2 with s the parity of the
-discriminant.  An ideal far longer than sqrt|disc| is brought near a
-reduced basis by one Lehmer partial Euclid before its form is reduced.
+discriminant, by the normal form of (a, e*w - b) that extend_ideal also
+takes: one inverse of e mod a, or a Hermite reduction when gcd(a, e) > 1.
+An ideal far longer than sqrt|disc| is brought near a reduced basis by
+one Lehmer partial Euclid before its form is reduced.
 
 Class numbers are counted over the first coefficient a of the reduced
 forms.  For a fundamental discriminant the number of roots of
@@ -580,6 +582,16 @@ def _ideal_rows_product(a1: int, t1: int, a2: int, t2: int,
     ]
 
 
+def _extend(disc: int, a: int, b: int, e: int) -> tuple[int, int, int]:
+    """Normal form (q, a', t), q*(a', w - t), of the ideal (a, e*w - b) of
+    the order of discriminant disc, for 0 <= b, e < a: t = b/e mod a by
+    one inverse when gcd(a, e) = 1, else the Hermite form of the span."""
+    if gcd(a, e) == 1:
+        return 1, a, b * _inverse(e, a) % a
+    rho, sigma = _omega_rho_sigma(disc)
+    return _hnf_module(_generator_rows([(a, 0), (-b, e)], rho, sigma))
+
+
 def _class_from_hnf(disc: int, a: int, t: int) -> "IdealClass":
     """Class of the ideal (a, w - t) of the order of discriminant disc, for
     a >= 1, 0 <= t < a and disc < 0, as every caller guarantees.
@@ -845,11 +857,8 @@ def extend_ideal(a: int, b: int, e: int, D: int) -> QuadIdeal:
     """Normal form of the ideal (a, e*y - b) of Z[sqrt(D)].
 
     Requires a, e positive and a | b^2 - e^2*D (so the span really is an
-    ideal); raises DivisibilityError otherwise.  When gcd(a, e) = 1, as
-    after coprime_shift, e is a unit mod a and the ideal is (a, y - t)
-    with t = b/e mod a, read off with one modular inverse; only a span
-    with gcd(a, e) > 1 needs the Hermite reduction.  The check and the
-    inverse run on b and e reduced mod a, which can be much shorter.
+    ideal); raises DivisibilityError otherwise.  The check and _extend run
+    on b and e reduced mod a: the same ideal, in much shorter entries.
     """
     if a < 1 or e < 1:
         raise ValueError("a and e must be positive")
@@ -860,9 +869,7 @@ def extend_ideal(a: int, b: int, e: int, D: int) -> QuadIdeal:
             f"a of {a.bit_length()} bits does not divide b^2 - e^2*D "
             f"(b, e, D of {b.bit_length()}, {e.bit_length()}, "
             f"{D.bit_length()} bits)")
-    if gcd(a, e_a) == 1:
-        return QuadIdeal(D, 1, a, b_a * _inverse(e_a, a) % a)
-    return ideal_from_generators(D, [(a, 0), (-b, e)])
+    return QuadIdeal(D, *_extend(4 * D, a, b_a, e_a))
 
 
 def ideal_to_class(I: QuadIdeal) -> IdealClass:
@@ -1072,24 +1079,17 @@ def conductor_data(v: int, factor_bound: int = FACTOR_BOUND) -> ConductorData:
 def push_to_maximal(I: QuadIdeal, cd: ConductorData) -> IdealClass:
     """Class of I*O_K in the maximal order O_K of Q(sqrt(D)), D = cd.value.
 
-    The extension is computed in the basis {1, w} of O_K, where
-    w = sqrt(d) when d = 2, 3 mod 4 and w = (1 + sqrt(d))/2 when
-    d = 1 mod 4; the generator y = sqrt(D) of the small ring maps to
-    S*sqrt(d).
+    In the basis {1, w} of O_K, w = (s + sqrt(disc_max))/2 with s the
+    parity of disc_max, y - b is e*w - b' with (e, b') = (S, b) or
+    (2S, b + S), of norm b^2 - D; _extend gives the normal form of
+    (a, e*w - b'), whose scalar, like I's q, does not move the class.
     """
     if cd.value != I.D:
         raise DiscriminantMismatchError(
             f"conductor data is for a value of {cd.value.bit_length()} bits, "
             f"the ideal lives over one of {I.D.bit_length()} bits")
-    disc = cd.disc_max
-    rho, sigma = _omega_rho_sigma(disc)
-    S = cd.S
-    if sigma == 0:
-        y_u, y_v = 0, S            # y = S*w
-    else:
-        y_u, y_v = -S, 2 * S       # y = S*(2w - 1)
-    gens = [(I.q * I.a, 0), (-I.q * I.b + I.q * y_u, I.q * y_v)]
-    _, a, t = _hnf_module(_generator_rows(gens, rho, sigma))
+    disc, S, s = cd.disc_max, cd.S, cd.disc_max % 2
+    _, a, t = _extend(disc, I.a, (I.b + s * S) % I.a, (S << s) % I.a)
     return _class_from_hnf(disc, a, t)
 
 

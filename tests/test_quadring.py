@@ -1036,6 +1036,51 @@ def push_to_maximal_helper(I, v):
     return qr.push_to_maximal(I, conductor_data(v))
 
 
+def reference_push(I, cd):
+    """push_to_maximal before it shared extend_ideal's normal form: the
+    four rows of q*(a, y - b) in the basis {1, w} of O_K, with y = S*w or
+    2S*w - S, their Hermite form, and the class of its (a, w - t)."""
+    disc = cd.disc_max
+    rho, sigma = qr._omega_rho_sigma(disc)
+    y_u, y_v = (0, cd.S) if sigma == 0 else (-cd.S, 2 * cd.S)
+    gens = [(I.q * I.a, 0), (I.q * (y_u - I.b), I.q * y_v)]
+    _, a, t = qr._hnf_module(qr._generator_rows(gens, rho, sigma))
+    return qr._class_from_hnf(disc, a, t)
+
+
+def test_push_to_maximal_matches_the_four_row_reference(monkeypatch):
+    # every invertible (a, y - b) with a < 40 and q in {1, 3}; the values
+    # cover disc_max even (-5, -8, -16, -45, -180) and odd (-3, -27, -63,
+    # -567), S = 1 (-3, -5) and S > 1, a | S ((4, y - 2) at -16 and
+    # (9, y - 3) at -567) and gcd(a, S) > 1 with a not dividing S ((4, y - 2)
+    # at -8 and (9, y - 3) at -27)
+    cases = []
+    for v in (-3, -5, -8, -16, -27, -45, -63, -180, -567):
+        cd = conductor_data(v)
+        for a in range(1, 40):
+            for b in range(a):
+                c, rest = divmod(b * b - v, a)
+                if rest == 0 and math.gcd(math.gcd(a, 2 * b), c) == 1:
+                    cases += [(QuadIdeal(v, q, a, b), cd) for q in (1, 3)]
+    calls = {"_inverse": 0, "_hnf_module": 0}
+
+    def counted(name):
+        f = getattr(qr, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(qr, name, counted(name))
+    got = [qr.push_to_maximal(I, cd) for I, cd in cases]
+    # both branches of the shared normal form ran
+    assert calls["_inverse"] > 0 and calls["_hnf_module"] > 0, calls
+    monkeypatch.undo()
+    for (I, cd), cls in zip(cases, got):
+        assert cls == reference_push(I, cd), (cd.value, I)
+
+
 def test_push_to_maximal_is_homomorphism():
     rng = random.Random(53)
     for v in (-12, -20, -45, -48):
@@ -1111,21 +1156,24 @@ def test_extend_ideal_direct_matches_generators():
 
 
 def test_extend_ideal_with_entries_longer_than_a():
-    # b and e far longer than a, as for large multiples of a divisor: the
-    # same ideal as the span's own normal form
+    # b and e far longer than a, as for large multiples of a divisor, with
+    # gcd(a, e) = 1 (one inverse) and gcd(a, e) > 1 (the Hermite form, on
+    # b and e reduced mod a): the same ideal as the span's own normal form
     rng = random.Random(83)
-    seen = 0
-    while seen < 100:
-        a = rng.randrange(2, 10 ** 6)
-        e = rng.randrange(1, 10 ** 40)
-        if math.gcd(a, e) != 1:
-            continue
-        t = rng.randrange(a)
-        D = t * t - a * rng.randrange(t * t // a + 1, t * t // a + 10 ** 6)
-        b = e * t % a + a * rng.randrange(10 ** 40)
-        assert extend_ideal(a, b, e, D) == \
-            ideal_from_generators(D, [(a, 0), (-b, e)])
-        seen += 1
+    for coprime in (True, False):
+        seen = 0
+        while seen < 100:
+            a = rng.randrange(2, 10 ** 6)
+            e = rng.randrange(1, 10 ** 40)
+            if (math.gcd(a, e) == 1) != coprime:
+                continue
+            t = rng.randrange(a)
+            D = t * t - a * rng.randrange(t * t // a + 1,
+                                          t * t // a + 10 ** 6)
+            b = e * t % a + a * rng.randrange(10 ** 40)
+            assert extend_ideal(a, b, e, D) == \
+                ideal_from_generators(D, [(a, 0), (-b, e)]), (a, coprime)
+            seen += 1
     # a refusal names the sizes of the entries given, not of their residues
     with pytest.raises(DivisibilityError) as err:
         extend_ideal(7, 10 ** 5000, 10 ** 4000, -2)
