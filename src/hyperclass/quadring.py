@@ -30,11 +30,12 @@ one Lehmer partial Euclid before its form is reduced.
 
 Class numbers are counted over the first coefficient a of the reduced
 forms.  For a fundamental discriminant the number of roots of
-b^2 = disc mod 4a is multiplicative in a, so one slice sieve over the
-primes up to sqrt(|disc|/3) gives the count for every a up to
-sqrt(|disc|)/2, where each root is one reduced form; the few a above
-that list their roots by the Chinese remainder theorem and keep those
-with c >= a.  A non-fundamental discriminant goes through the conductor
+b^2 = disc mod 4a is multiplicative in a, so one sieve over the primes
+up to sqrt(|disc|/3), one modular power each, gives the count for every
+a up to sqrt(|disc|)/2, where each root is one reduced form.  The few a
+above that list their roots by one Chinese remainder step from those of
+the cofactor left by the largest prime, one root of each pair b, -b,
+and keep those with c >= a.  A non-fundamental discriminant goes through the conductor
 formula, the same one that scales the maximal-order class number to
 Z[sqrt(D)].  The count takes O(|disc|^(1/2 + eps)) time and
 O(|disc|^(1/2)) memory.
@@ -46,7 +47,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt, prod
 
 from .errors import (
@@ -87,32 +88,39 @@ _BSGS_GROWTH = 4
 
 def sqrt_mod(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p (one power when
-    p = 3 mod 4, else Tonelli-Shanks): 0 when p | n, None when n is a
-    non-residue."""
+    p = 3 mod 4 or p = 5 mod 8, else Tonelli-Shanks): 0 when p | n, None
+    when n is a non-residue."""
     n %= p
     if n == 0:
         return 0
-    if p % 4 == 3:
-        r = pow(n, (p + 1) // 4, p)
-        return r if r * r % p == n else None
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    q, m = p - 1, 0
-    while q % 2 == 0:
-        q, m = q // 2, m + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    c, r, t = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
-    # invariant: r^2 = n*t, the order of t divides 2^(m-1), c has order 2^m
-    while t != 1:
-        k, t2 = 1, t * t % p
-        while t2 != 1:
-            k, t2 = k + 1, t2 * t2 % p
-        b = pow(c, 1 << (m - k - 1), p)
-        r, c = r * b % p, b * b % p
-        t, m = t * c % p, k
-    return r
+    if p & 3 == 3:
+        r = pow(n, (p + 1) >> 2, p)
+    elif p & 7 == 5:
+        # Atkin: v = (2n)^((p - 5)/8), i = 2n v^2 is a square root of -1
+        v = pow(2 * n, p >> 3, p)
+        r = n * v * (2 * n * v * v - 1) % p
+    else:
+        q, m = p >> 3, 3
+        while not q & 1:
+            q, m = q >> 1, m + 1
+        z = 3       # 2 is a square mod p
+        while pow(z, p >> 1, p) == 1:
+            z += 2
+        c, x = pow(z, q, p), pow(n, q >> 1, p)
+        r = n * x % p
+        t = r * x % p
+        # invariant: r^2 = n*t, the order of t divides 2^(m-1), c has
+        # order 2^m; t of order 2^m means n is a non-residue
+        while t != 1:
+            k, t2 = 1, t * t % p
+            while t2 != 1:
+                k, t2 = k + 1, t2 * t2 % p
+            if k == m:
+                return None
+            b = pow(c, 1 << (m - k - 1), p)
+            r, c = r * b % p, b * b % p
+            t, m = t * c % p, k
+    return r if r * r % p == n else None
 
 
 _SIEVE_LIMIT = 0
@@ -937,95 +945,154 @@ def _count_reduced_forms(disc: int) -> int:
     The number r(a) of b mod 2a with b^2 = disc mod 4a is multiplicative:
     r(p^k) = 1 + (disc|p) for p not dividing disc, and r(p) = 1,
     r(p^k) = 0 for k >= 2 when p divides it.  Every form is primitive,
-    since disc is fundamental.  One slice sieve over the primes
+    since disc is fundamental.  One sieve over the primes
     p <= sqrt(-disc/3) holds, for each a up to there, 0 when r(a) = 0 and
     otherwise 1 + the number of split primes of a, so r(a) = 2^(value - 1);
-    it also records the largest non-inert prime of each a.
+    it also records the largest non-inert odd prime of each a.  An odd
+    prime takes one modular power, Euler's criterion, and zeroes or steps
+    its multiples by slices, or writes its one multiple directly when it
+    is above sqrt(-disc/3)/2.  A prime above sqrt(-disc)/2 is an a of
+    the range below, which needs its root, so it takes sqrt_mod instead:
+    one power too, unless p = 1 mod 8.
 
     For 4a^2 <= -disc, each root b in (-a, a] is one reduced form, since
     c = (b^2 - disc)/(4a) >= a holds by itself; those a add up their r(a).
     For the a above, about 0.077*sqrt(-disc) values, the roots of each a
-    with r(a) > 0 are listed by the Chinese remainder theorem from the
-    roots modulo its prime powers, which come from the recorded primes
-    and are computed once per prime power; a root counts when c >= a,
-    and when c = a only for b >= 0.
+    with r(a) > 0 come by one Chinese remainder step from the roots of
+    its cofactor a/p^e, p the largest odd prime of a: the cofactors are
+    few, and their roots are listed once, the same way.  A root b counts
+    when c > a, that is |b| > beta = isqrt(4a^2 + disc), and the form
+    (a, beta, a) counts once when beta^2 = 4a^2 + disc.  The roots come
+    in pairs b, -b, since b = 0 and b = a are no roots when a has a
+    prime power with two roots: at the first such one (2^e when
+    disc = 1 mod 8, else an odd split prime) only one root is kept, so
+    one root of each pair is listed, and each counts twice.
     """
     a_low, a_top = isqrt(-disc // 4), isqrt(-disc // 3)
+    half = a_top // 2
     sieve = bytearray([1]) * (a_top + 1)
     sieve[0] = 0
-    # largest[a]: the largest non-inert prime of a, in native 32-bit words
+    zeros = memoryview(bytes(half))
+    d8 = disc % 8
+    if d8 == 1:
+        sieve[2::2] = sieve[2::2].translate(_INC)
+    elif d8 == 5:
+        sieve[2::2] = zeros[:half]
+    else:
+        sieve[4::4] = zeros[:a_top // 4]
+    # largest[a]: the largest non-inert odd prime of a, 0 for a power of
+    # 2, in native 32-bit words.  A prime in (a_top/2, a_low] is left out:
+    # no a above a_low, nor a cofactor of one, is its multiple.
     largest = memoryview(bytearray(4 * (a_top + 1))).cast("I")
-    for p in primes_up_to(a_top):
-        # kind = _legendre(disc, p), inlined: 1 split, -1 inert,
-        # 0 ramified; Euler's criterion for odd p
-        if p == 2:
-            kind = (disc % 8 == 1) - (disc % 8 == 5)
-        elif disc % p == 0:
-            kind = 0
-        else:
-            kind = 1 if pow(disc, p >> 1, p) == 1 else -1
-        if kind < 0:
-            sieve[p::p] = bytes(a_top // p)
+    primes = primes_up_to(a_top)
+    for p in islice(primes, 1, bisect_right(primes, a_low)):
+        s = pow(disc, p >> 1, p)    # 1: split, 0: ramified
+        if s > 1:                                   # inert
+            if p > half:
+                sieve[p] = 0
+            else:
+                sieve[p::p] = zeros[:a_top // p]
             continue
-        if kind > 0:
+        if p > half:
+            sieve[p] += s
+            continue
+        if s:
             sieve[p::p] = sieve[p::p].translate(_INC)
         else:
             pp = p * p
-            sieve[pp::pp] = bytes(a_top // pp)
-        word = p.to_bytes(4, sys.byteorder)
-        largest[p::p] = memoryview(word * (a_top // p)).cast("I")
+            sieve[pp::pp] = zeros[:a_top // pp]
+        largest[p::p] = memoryview(
+            p.to_bytes(4, sys.byteorder) * (a_top // p)).cast("I")
     h = sum(sieve.count(v, 1, a_low + 1) << (v - 1)
             for v in range(1, a_top.bit_length() + 2))
-    roots: dict[tuple[int, int], list[int]] = {}
-    for a in compress(range(a_low + 1, a_top + 1), sieve[a_low + 1:]):
-        k = (a & -a).bit_length() - 1
-        m, M = a >> k, 2 << k
-        res = roots.get((2, k))
-        if res is None:
-            res = roots[2, k] = _roots(disc, 2, k)
-        while m > 1:
-            p, e = largest[m], 0
-            while m % p == 0:
-                m, e = m // p, e + 1
-            R = roots.get((p, e))
-            if R is None:
-                R = roots[p, e] = _roots(disc, p, e)
-            q = p ** e
+    # roots[q]: the roots of disc mod the odd prime power q.  An odd prime
+    # above a_low is a live a of its own exactly when it has a root.
+    roots: dict[int, tuple[int, ...]] = {}
+    for p in islice(primes, bisect_right(primes, max(a_low, 2)), None):
+        x = sqrt_mod(disc, p)
+        if x is None:
+            sieve[p] = 0
+        else:
+            largest[p] = p
+            roots[p] = (x, p - x) if x else (0,)
+    # cofactors[c] = (res, paired): the roots b mod 2c of b^2 = disc mod
+    # 4c, only one of each pair b, -b when paired
+    cofactors: dict[int, tuple[list[int], bool]] = {}
+
+    def step(c: int):
+        """The Chinese remainder step to c = d*q, q = p^e the part of its
+        largest odd prime p: the roots res of d with paired, 2d, q, and
+        the roots R of disc mod q, one alone when they are the first
+        pair."""
+        p = largest[c]
+        q, d = p, c // p
+        while d % p == 0:
+            q, d = q * p, d // p
+        res, paired = cofactors.get(d) or roots_of(d)
+        R = roots.get(q)
+        if R is None:
+            R = roots[q] = _roots(disc, p, q)
+        if not paired and len(R) == 2:
+            R, paired = R[:1], True
+        return res, paired, 2 * d, q, R
+
+    def roots_of(c: int) -> tuple[list[int], bool]:
+        """cofactors[c], listed on its first use."""
+        if largest[c]:
+            res, paired, M, q, R = step(c)
             inv = pow(M, -1, q)
             res = [t + M * ((u - t) * inv % q) for t in res for u in R]
-            M *= q
-        four_a2 = 4 * a * a
-        for t in res:
-            b = t if t <= a else t - M
-            c4a = b * b - disc
-            h += c4a > four_a2 or (c4a == four_a2 and b >= 0)
+        else:
+            R = _roots(disc, 2, c)
+            paired = len(R) == 2
+            res = list(R[:1] if paired else R)
+        cofactors[c] = res, paired
+        return res, paired
+
+    for a in compress(range(a_low + 1, a_top + 1), sieve[a_low + 1:]):
+        T = 4 * a * a + disc
+        beta = isqrt(T)
+        top = 2 * a - beta
+        if largest[a]:
+            res, paired, M, q, R = step(a)
+            inv = pow(M, -1, q)
+            n = 0
+            for t in res:
+                for u in R:
+                    if beta < t + M * ((u - t) * inv % q) < top:
+                        n += 1
+        else:
+            res, paired = roots_of(a)
+            n = sum(beta < t < top for t in res)
+        h += (n << paired) + (beta * beta == T)
     return h
 
 
-def _roots(disc: int, p: int, e: int) -> list[int]:
-    """The residues for the p-part p^e of a live a that the Chinese
+def _roots(disc: int, p: int, q: int) -> tuple[int, ...]:
+    """The residues for the p-part q = p^e of a live a that the Chinese
     remainder theorem joins into the roots b mod 2a of b^2 = disc mod 4a:
-    for p = 2 the b mod 2^(e+1) with b^2 = disc mod 2^(e+2) (e = 0 when a
-    is odd), for odd p the b mod p^e with b^2 = disc mod p^e."""
+    for p = 2 the b mod 2q with b^2 = disc mod 4q, for odd p the b mod q
+    with b^2 = disc mod q.  Two roots are a pair x, -x."""
     if p == 2:
-        if e == 0:
-            return [disc % 2]
-        if disc % 2 == 0:       # disc = 4d and e = 1: b = 2d mod 4
-            return [disc // 2 % 4]
-        # disc = 1 mod 8: lift the root 1 mod 8 up to 2^(e+2)
-        x = 1
-        for j in range(3, e + 2):
-            if (x * x - disc) % (1 << (j + 1)):
-                x += 1 << (j - 1)
-        M = 2 << e
-        return [x % M, -x % M]
-    if disc % p == 0:
-        return [0]
-    x, q = sqrt_mod(disc, p), p
-    for _ in range(e - 1):      # Hensel: a root mod q = p^j to p^(j+1)
-        q *= p
-        x = (x - (x * x - disc) * pow(2 * x, -1, q)) % q
-    return [x, q - x]
+        if q == 1:
+            return (disc % 2,)
+        if disc % 2 == 0:       # disc = 4d and q = 2: b = 2d mod 4
+            return (disc // 2 % 4,)
+        # disc = 1 mod 8: lift the root 1 mod 8 up to 4q
+        x, j = 1, 8
+        while j < 4 * q:
+            if (x * x - disc) % (2 * j):
+                x += j // 2
+            j *= 2
+        return (x % (2 * q), -x % (2 * q))
+    x = sqrt_mod(disc, p)
+    if x == 0:
+        return (0,)
+    r = p
+    while r < q:      # Hensel: a root mod r = p^j to p^(j+1)
+        r *= p
+        x = (x - (x * x - disc) * pow(2 * x, -1, r)) % r
+    return (x, q - x)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,7 +1173,9 @@ def kernel_order(cd: ConductorData) -> int:
 def _legendre(disc: int, p: int) -> int:
     """(disc|p) for a discriminant disc and a prime p: 1 when p splits in
     Q(sqrt(disc)), -1 when it is inert, 0 when it ramifies.  For odd p
-    this is Euler's criterion, the test _count_reduced_forms runs inline."""
+    this is Euler's criterion, which _count_reduced_forms runs inline on
+    the primes up to sqrt(-disc)/2; above that it reads the symbol off
+    sqrt_mod, whose root it needs."""
     if p == 2:
         return (disc % 8 == 1) - (disc % 8 == 5)
     if disc % p == 0:

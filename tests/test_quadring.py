@@ -486,11 +486,13 @@ def test_class_order_cap_is_a_resource_limit():
 
 
 def repeated_composition_order(F):
-    """Order of the class of the reduced form F, one composition a step."""
-    one = principal_form(F.disc)
-    acc, k = F, 1
+    """Order of the class of the reduced form F, one composition a step,
+    on (a, b, c) triples by the kernel that compose wraps."""
+    x = (F.a, F.b2, F.c)
+    one = qr._principal(F.disc)
+    acc, k = x, 1
     while acc != one:
-        acc = compose(acc, F)
+        acc = qr._compose(acc, x)
         k += 1
     return k
 
@@ -945,6 +947,23 @@ def test_class_number_disc_all_small():
             continue
         want = len(enumerate_reduced_forms(disc))
         assert class_number_disc(disc) == want, disc
+
+
+def test_count_on_each_two_adic_class_at_every_scale():
+    # 20 fundamental discriminants against the count over b: each class
+    # of the 2-part of the roots, disc = 1 or 5 mod 8 and 4d with disc = 8
+    # or 12 mod 16, in each of five bands of |disc| from 10^3 to 10^10.
+    # Only disc = 1 mod 8 pairs the roots b, -b at 2; the other classes
+    # pair them at the first odd split prime of a, or not at all
+    from test_class_number_oracle import class_number_by_b, is_fundamental
+    rng = random.Random(1013)
+    for band in range(5):
+        for m, r in ((8, 1), (8, 5), (16, 8), (16, 12)):
+            disc = 0
+            while not (disc and is_fundamental(disc)):
+                n = int(10 ** rng.uniform(3 + 1.4 * band, 4.4 + 1.4 * band))
+                disc = -n - (-n - r) % m
+            assert class_number_disc(disc) == class_number_by_b(disc), disc
 
 
 def test_class_number_for_orders():

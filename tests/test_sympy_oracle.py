@@ -93,12 +93,17 @@ def test_factorint_matches_sympy():
 
 
 def test_factorint_of_two_large_primes_matches_sympy():
+    # the factorisation is known from the construction: sympy's primes p
+    # and q, and the factors of m written out
+    m_factors = {1: {}, -1: {}, 12: {2: 2, 3: 1}, -90: {2: 1, 3: 2, 5: 1}}
     rng = random.Random(97)
     for _ in range(20):
         p = sympy.randprime(10 ** 9, 2 * 10 ** 9)
         q = sympy.randprime(10 ** 9, 2 * 10 ** 9)
         m = rng.choice((1, -1, 12, -90))
-        assert factorint(m * p * q) == sympy.factorint(abs(m * p * q))
+        want = {**m_factors[m], p: 1}
+        want[q] = want.get(q, 0) + 1
+        assert factorint(m * p * q) == want, (m, p, q)
 
 
 def test_conductor_square_part_matches_sympy():
