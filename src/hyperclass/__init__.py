@@ -74,7 +74,6 @@ from .quadring import (
 from .specialize import (
     Specialisation,
     SpecializationRow,
-    check_norm_bounds,
     delta_n,
     find_order_at_least,
     is_n_primitive,

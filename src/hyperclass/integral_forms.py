@@ -45,26 +45,6 @@ class AltMumfordForm:
     C: IntPoly
     e: int
 
-    def check(self, curve: OddHyperellipticCurve) -> None:
-        """Assert every structural invariant against the curve."""
-        A, B, C, e = self.A, self.B, self.C, self.e
-        if e < 1:
-            raise ValueError(f"e = {e} must be positive")
-        if A.is_zero or A.lc < 0:
-            raise ValueError("A must be nonzero with positive leading term")
-        if A.content() != 1:
-            raise ValueError(f"content of A is {A.content()}, expected 1")
-        if not B.is_zero and gcd(e, B.content()) != 1:
-            raise ValueError("e shares a factor with the content of B")
-        if B.is_zero and e != 1:
-            raise ValueError("B = 0 forces e = 1")
-        if not B.is_zero and (A.degree == 0 or B.degree >= A.degree):
-            raise ValueError("deg B must be below deg A")
-        if A.degree > curve.genus:
-            raise ValueError(f"deg A = {A.degree} exceeds genus {curve.genus}")
-        if B * B - A * C != curve.f * (e * e):
-            raise ValueError("B^2 - A*C differs from e^2 * f")
-
 
 FORM_CACHE = 16
 
@@ -77,9 +57,9 @@ def to_alt_mumford(curve: OddHyperellipticCurve,
     A is the primitive integer multiple of a with positive leading term,
     e the least positive denominator with B = e*b integral, and C the
     exact cofactor (B^2 - e^2 f)/A: the quotient of check_divisor's one
-    division, so every invariant of AltMumfordForm.check holds by
-    construction.  The result is unique, so it is cached on the frozen
-    (curve, D) pair.  An invalid divisor is not cached.
+    division, so B^2 - A*C = e^2 * f holds by construction.  The result
+    is unique, so it is cached on the frozen (curve, D) pair.  An invalid
+    divisor is not cached.
     """
     return AltMumfordForm(*check_divisor(curve, D))
 

@@ -259,28 +259,19 @@ class RatPoly(_Poly):
 
 
 def _pretty(coeffs) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
+    """Each term is written "+ t" or "- t", from the highest degree down;
+    the leading "+ " then goes, and a leading "- " becomes "-"."""
+    terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
         if c == 0:
             continue
-        if k == 0:
-            term = str(abs(c) if c < 0 else c)
-            if c < 0:
-                term = str(c) if not parts else term
-        else:
-            mag = abs(c) if parts or c < 0 else c
-            coef = "" if mag == 1 else f"{mag}*"
-            term = f"{coef}x" if k == 1 else f"{coef}x^{k}"
-            if c < 0 and not parts:
-                term = "-" + term
-        if parts:
-            parts.append("- " + term if c < 0 else "+ " + term)
-        else:
-            parts.append(term)
-    return " ".join(parts)
+        mag = abs(c)
+        coef = str(mag) if k == 0 else "" if mag == 1 else f"{mag}*"
+        power = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+        terms.append(("- " if c < 0 else "+ ") + coef + power)
+    text = " ".join(terms) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def rat_xgcd(p: RatPoly, q: RatPoly):

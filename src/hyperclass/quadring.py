@@ -303,8 +303,6 @@ def factorint(n: int, factor_bound: int = FACTOR_BOUND) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -1137,8 +1135,6 @@ def conductor_data(v: int, factor_bound: int = FACTOR_BOUND) -> ConductorData:
         disc_max, m = d, 2 * S
     else:
         disc_max, m = 4 * d, S
-    if 4 * S * S * d != m * m * disc_max:
-        raise InternalInconsistencyError("conductor identity failed")
     return ConductorData(value=v, S=S, d=d, disc_max=disc_max, conductor=m,
                          S_factors=S_factors)
 
@@ -1209,10 +1205,7 @@ def _kernel_factor(disc_max: int, m: int, primes) -> int:
     return num // den
 
 
-def class_number_from_conductor(cd: ConductorData,
-                                h_max: int | None = None) -> int:
+def class_number_from_conductor(cd: ConductorData, h_max: int) -> int:
     """h of the order of discriminant 4*cd.value via the conductor formula,
-    h(O) = h_K * kernel_order(cd)."""
-    if h_max is None:
-        h_max = class_number_disc(cd.disc_max)
+    h(O) = h_max * kernel_order(cd), where h_max is h of the maximal order."""
     return h_max * kernel_order(cd)

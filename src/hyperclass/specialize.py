@@ -53,7 +53,6 @@ from .quadring import (
     class_number_from_conductor,
     conductor_data,
     extend_ideal,
-    factorint,
     form_to_ideal,
     ideal_to_class,
     kernel_order,
@@ -229,34 +228,6 @@ def pairing_value(curve: OddHyperellipticCurve, Q: MumfordDivisor, n: int,
                   factor_bound: int = FACTOR_BOUND) -> IdealClass:
     """Image of delta_n(Q) in the class group of the maximal order."""
     return _specialised(curve, Q, n, factor_bound).maximal_class
-
-
-def check_norm_bounds(curve: OddHyperellipticCurve, Q: MumfordDivisor,
-                      n: int, factor_bound: int = FACTOR_BOUND) -> bool:
-    """Verify the normal-form bounds for the raw (unshifted) ideal.
-
-    With d = gcd(A(n), e, B(n)) and u the leading entry of the normal form
-    of (A(n), e*y - B(n)), checks
-
-        |A(n)| / prod_{p | d} p^(v_p(A(n)))  <=  u  <=  d * |A(n)|,
-
-    and additionally u = |A(n)| exactly when gcd(A(n), e) = 1.
-    """
-    v = specialize_form(to_alt_mumford(curve, Q), curve, n, factor_bound)
-    I = extend_ideal(abs(v.a_val), v.b_val, v.e, v.fval)
-    u = I.a
-    a_abs = abs(v.a_val)
-    d = gcd(gcd(a_abs, v.e), abs(v.b_val))
-    lower = a_abs
-    if d > 1:
-        for p in factorint(d, factor_bound):
-            while lower % p == 0:
-                lower //= p
-    if not (lower <= u <= d * a_abs):
-        return False
-    if gcd(a_abs, v.e) == 1 and u != a_abs:
-        return False
-    return True
 
 
 def smooth_section_status(fval: int, fprime_val: int, S: int) -> str:

@@ -116,7 +116,9 @@ def test_pinned_conductor_values():
     for v, h in ((-1119999888, 20480), (-882485100, 21312)):
         assert class_number_by_b(4 * v) == h
         assert class_number_disc(4 * v) == h
-        assert class_number_from_conductor(conductor_data(v)) == h
+        cd = conductor_data(v)
+        assert class_number_from_conductor(
+            cd, class_number_disc(cd.disc_max)) == h
 
 
 def test_genus2_scan_orders_divide_class_numbers():

@@ -60,6 +60,25 @@ def test_intpoly_basics():
     assert IntPoly.x() == IntPoly([0, 1])
 
 
+@pytest.mark.parametrize("coeffs, text", [
+    ([], "0"),
+    ([0, 0], "0"),
+    ([-7], "-7"),
+    ([5], "5"),
+    ([0, 0, -1], "-x^2"),
+    ([3, -1, 0, -7], "-7*x^3 - x + 3"),
+    ([-5, 1, -1, 2], "2*x^3 - x^2 + x - 5"),
+    ([1, 0, -1, 1], "x^3 - x^2 + 1"),
+    ([0, -1], "-x"),
+    ([Fraction(-3, 2), 1, Fraction(-1, 3)], "-1/3*x^2 + x - 3/2"),
+    ([Fraction(1, 2), 0, Fraction(-5, 4)], "-5/4*x^2 + 1/2"),
+    ([Fraction(-1), Fraction(-1)], "-x - 1"),
+])
+def test_printed_polynomials(coeffs, text):
+    cls = RatPoly if any(isinstance(c, Fraction) for c in coeffs) else IntPoly
+    assert str(cls(coeffs)) == text
+
+
 def test_intpoly_trailing_zeros_trimmed():
     assert IntPoly([1, 2, 0, 0]).degree == 1
     assert IntPoly([1, 2, 0, 0]) == IntPoly([1, 2])

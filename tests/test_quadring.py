@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import hyperclass.quadring as qr
+from hyperclass.curve import new_curve
 from hyperclass.errors import (
     ClassNumberBoundError,
     DiscriminantMismatchError,
@@ -18,6 +19,9 @@ from hyperclass.errors import (
     NonInvertibleError,
     OrderBoundError,
 )
+from hyperclass.integral_forms import to_alt_mumford
+from hyperclass.jacobian import from_point, jac_smul
+from hyperclass.polyarith import IntPoly
 from hyperclass.quadring import (
     ConductorData,
     IdealClass,
@@ -45,6 +49,7 @@ from hyperclass.quadring import (
     square_part,
     unit_ideal,
 )
+from hyperclass.specialize import specialize_form
 
 DS = (-5, -6, -13, -14, -21)
 
@@ -209,6 +214,27 @@ def assert_factors_as_reference(values, budgets=(qr.FACTOR_BOUND,)):
                 assert factorint(n, budget) == want, (n, budget)
 
 
+def test_brent_rho_backtrack_finds_a_proper_divisor(monkeypatch):
+    # a batch whose product q meets every prime of n gives gcd(q, n) = n;
+    # the rho then steps back from ys one iteration at a time.  The gcd
+    # is watched to see that the small n below take that branch
+    full = set()
+
+    def watched_gcd(a, b):
+        g = math.gcd(a, b)
+        if g == b:
+            full.add(b)
+        return g
+
+    monkeypatch.setattr(qr, "gcd", watched_gcd)
+    for n in range(9, 400, 2):
+        if all(n % p for p in range(3, math.isqrt(n) + 1, 2)):
+            continue
+        d = qr._brent_rho(n, qr.FACTOR_BOUND)
+        assert d is not None and 1 < d < n and n % d == 0, (n, d)
+    assert {25, 35, 49, 55, 65, 77, 91} <= full
+
+
 def test_factorint_matches_the_reference_on_curve_values():
     # the genus-1 values below 10^9 never reach the rho; the genus-2 ones
     # pass 10^12 from n = -252 on, where the trial bound is the ceiling
@@ -243,12 +269,16 @@ def test_factorint_matches_the_reference_on_sympy_built_values():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(103)
     values = []
+
+    def prime(lo, hi):
+        # sympy's randprime ignores rng; a seeded draw replays a failure
+        return sympy.nextprime(rng.randrange(lo, hi))
+
     for k in (2, 2, 3, 3) * 5:
-        values.append(math.prod(sympy.randprime(10 ** 3, 10 ** 6)
-                                for _ in range(k)))
+        values.append(math.prod(prime(10 ** 3, 10 ** 6) for _ in range(k)))
     for k in (2, 3) * 4:
-        values.append(sympy.randprime(10 ** 6, 10 ** 9) * math.prod(
-            sympy.randprime(10 ** 3, 10 ** 6) for _ in range(k)))
+        values.append(prime(10 ** 6, 10 ** 9) * math.prod(
+            prime(10 ** 3, 10 ** 6) for _ in range(k)))
     values += [rng.choice((1, 4, 12)) * v for v in values[:8]]
     assert_factors_as_reference(values, budgets=(qr.FACTOR_BOUND, 10))
 
@@ -813,12 +843,47 @@ def dichotomy_domain(a, b, e):
     return len(branches) == 1
 
 
+def assert_extension_shape(a, b, e, D):
+    """Shape of extend_ideal(a, b, e, D) against the sweep oracle; returns
+    d = gcd(a, e, b).  The q-part is always d, and the rational part a'
+    divides a with the whole quotient a/(d*a') supported on primes of d.
+    So a stripped of the primes of d divides a', a' <= a, and a' = a
+    when d = 1.  The sharper two-value claim a' in {a/d, a/d^2} holds on
+    dichotomy_domain only; see the counterexample test below for what
+    happens outside it."""
+    I = extend_ideal(a, b, e, D)
+    d = math.gcd(math.gcd(a, e), b)
+    assert I.q == d
+    assert a % (d * I.a) == 0
+    collapse = a // (d * I.a)
+    assert math.gcd(collapse, d ** 64) == collapse  # primes of collapse divide d
+    if dichotomy_domain(a, b, e):
+        allowed = {a // d}
+        if a % (d * d) == 0:
+            allowed.add(a // (d * d))
+        assert I.a in allowed
+    assert (I.q, I.a, I.b) == hnf_oracle(module_rows(a, b, e, D))
+    return d
+
+
+def raw_pipeline_values():
+    """(|A(n)|, B(n), e, f(n)) of raw, unshifted value forms: Q = (2, 2)
+    and 3Q on y^2 = x^3 - 4 for n from 1 down to -39, then multiples of
+    P = (1, 1) on y^2 = x^5 + x - 1 where d = gcd(A(n), e, B(n)) > 1."""
+    g1 = new_curve(IntPoly([-4, 0, 0, 1]))
+    g2 = new_curve(IntPoly([-1, 1, 0, 0, 0, 1]))
+    Q, P = from_point(g1, 2, 2), from_point(g2, 1, 1)
+    cases = [(g1, D, n) for n in range(1, -40, -1)
+             for D in (Q, jac_smul(g1, 3, Q))]
+    # 3P at -1: d = 2 and e = 8; 5P at 0: d = 13; 6P at -3: d = 5
+    cases += [(g2, jac_smul(g2, k, P), n) for k, n in ((3, -1), (5, 0),
+                                                       (6, -3))]
+    for curve, D, n in cases:
+        v = specialize_form(to_alt_mumford(curve, D), curve, n)
+        yield abs(v.a_val), v.b_val, v.e, v.fval
+
+
 def test_extend_ideal_shape_vs_oracle():
-    # Shape of the extension against the sweep oracle.  The q-part is always
-    # d = gcd(a, e, b), and the rational part a' divides a with the whole
-    # quotient a/(d*a') supported on primes of d.  The sharper two-value
-    # claim a' in {a/d, a/d^2} holds on dichotomy_domain only; see the
-    # counterexample test below for what happens outside it.
     rng = random.Random(41)
     seen = 0
     while seen < 400:
@@ -828,19 +893,12 @@ def test_extend_ideal_shape_vs_oracle():
         b = rng.randrange(0, a)
         if (b * b - e * e * D) % a != 0:
             continue
-        I = extend_ideal(a, b, e, D)
-        d = math.gcd(math.gcd(a, e), b)
-        assert I.q == d
-        assert a % (d * I.a) == 0
-        collapse = a // (d * I.a)
-        assert math.gcd(collapse, d ** 64) == collapse  # primes of collapse divide d
-        if dichotomy_domain(a, b, e):
-            allowed = {a // d}
-            if a % (d * d) == 0:
-                allowed.add(a // (d * d))
-            assert I.a in allowed
-        assert (I.q, I.a, I.b) == hnf_oracle(module_rows(a, b, e, D))
+        assert_extension_shape(a, b, e, D)
         seen += 1
+    # the ideals delta_n starts from, before coprime_shift; b may lie
+    # outside [0, a)
+    ds = [assert_extension_shape(*v) for v in raw_pipeline_values()]
+    assert len(ds) == 85 and sum(d > 1 for d in ds) == 3
 
 
 def test_extend_ideal_two_value_shape_has_counterexamples():
@@ -1149,7 +1207,8 @@ def test_class_number_from_conductor_matches_enumeration():
               -882485100):
         cd = conductor_data(v)
         h = class_number_disc(4 * v)
-        assert class_number_from_conductor(cd) == h, v
+        assert class_number_from_conductor(
+            cd, class_number_disc(cd.disc_max)) == h, v
         assert known.get(v, h) == h, v
 
 

@@ -53,7 +53,6 @@ from hyperclass.specialize import (
     Specialisation,
     _delta_ideal,
     _has_square,
-    check_norm_bounds,
     delta_n,
     find_order_at_least,
     is_n_primitive,
@@ -277,28 +276,6 @@ def test_pairing_kernel_bound():
         assert r.order_order // r.order_maximal <= 4 * r.S_n**2, r.n
         checked += 1
     assert checked >= 3
-
-
-def test_check_norm_bounds_examples():
-    assert check_norm_bounds(CURVE, Q, -1)
-    assert check_norm_bounds(CURVE, jac_smul(CURVE, 3, Q), -3)
-    # genus 2, where d = gcd(A(n), e, B(n)) > 1 strips primes off the bound
-    assert check_norm_bounds(GEN2, jac_smul(GEN2, 3, Q2), -1)  # d = 2, e = 8
-    assert check_norm_bounds(GEN2, jac_smul(GEN2, 5, Q2), 0)  # d = 13
-    assert check_norm_bounds(GEN2, jac_smul(GEN2, 6, Q2), -3)  # d = 5
-
-
-def test_check_norm_bounds_window():
-    threeQ = jac_smul(CURVE, 3, Q)
-    checked = 0
-    for n in range(CURVE.negativity_bound, -40, -1):
-        for D in (Q, threeQ):
-            try:
-                assert check_norm_bounds(CURVE, D, n), n
-                checked += 1
-            except PositiveValueError:
-                continue
-    assert checked >= 60
 
 
 def test_smooth_section_status():

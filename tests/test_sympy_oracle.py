@@ -57,7 +57,7 @@ def test_is_probable_prime_matches_sympy():
         n = rng.randrange(10 ** 30)
         assert is_probable_prime(n) == sympy.isprime(n), n
     for _ in range(20):
-        p = sympy.randprime(10 ** 9, 2 * 10 ** 9)
+        p = sympy.nextprime(rng.randrange(10 ** 9, 2 * 10 ** 9))
         q = sympy.nextprime(p + rng.randrange(10 ** 6))
         assert is_probable_prime(p) and is_probable_prime(q)
         assert not is_probable_prime(p * q)
@@ -93,13 +93,13 @@ def test_factorint_matches_sympy():
 
 
 def test_factorint_of_two_large_primes_matches_sympy():
-    # the factorisation is known from the construction: sympy's primes p
-    # and q, and the factors of m written out
+    # the factorisation is known from the construction: the primes p and
+    # q that sympy finds after the seeded draws, and the factors of m
     m_factors = {1: {}, -1: {}, 12: {2: 2, 3: 1}, -90: {2: 1, 3: 2, 5: 1}}
     rng = random.Random(97)
     for _ in range(20):
-        p = sympy.randprime(10 ** 9, 2 * 10 ** 9)
-        q = sympy.randprime(10 ** 9, 2 * 10 ** 9)
+        p = sympy.nextprime(rng.randrange(10 ** 9, 2 * 10 ** 9))
+        q = sympy.nextprime(rng.randrange(10 ** 9, 2 * 10 ** 9))
         m = rng.choice((1, -1, 12, -90))
         want = {**m_factors[m], p: 1}
         want[q] = want.get(q, 0) + 1
