@@ -23,11 +23,15 @@ Every caller goes through specialize_form(), whose record computes each
 step of this per-n chain once, and only when it is read.  The scan driver
 evaluates whole ranges of n, records one row per value with orders in
 both Picard groups, and never aborts on a per-value error: failures are
-data.
+data.  No row depends on another, so a long scan splits its n over forked
+workers, one per usable CPU, and merges their rows in n order.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import threading
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from math import gcd
@@ -103,7 +107,7 @@ def is_n_primitive(s: Specialisation) -> bool:
     conservative: the class may exist for some better representative of
     the divisor class, which this module does not search for.
     """
-    return value_gcd(s) == 1
+    return s.content == 1
 
 
 def _delta_ideal(s: Specialisation) -> QuadIdeal:
@@ -116,7 +120,7 @@ def _delta_ideal(s: Specialisation) -> QuadIdeal:
         # the values can be far too long to print; name n and the size
         raise NotPrimitiveError(
             f"value form at n = {s.n} has a content of "
-            f"{value_gcd(s).bit_length()} bits; the class is not computed "
+            f"{s.content.bit_length()} bits; the class is not computed "
             f"from an imprimitive representative")
     a2, b2 = coprime_shift(s.a_val, s.b_val, s.c_val, s.e)
     return extend_ideal(abs(a2), b2, s.e, s.fval)
@@ -143,6 +147,12 @@ class Specialisation:
     e: int
     fval: int
     factor_bound: int = FACTOR_BOUND
+
+    @cached_property
+    def content(self) -> int:
+        """gcd(A(n), 2B(n), C(n)), read by primitive and by the
+        NotPrimitiveError message of every read of an imprimitive ideal."""
+        return value_gcd(self)
 
     @cached_property
     def primitive(self) -> bool:
@@ -303,6 +313,115 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
     return row
 
 
+# A scan of fewer n than this stays in one process: forking a worker and
+# collecting it take a few ms.  Timed from the negativity bound, where rows
+# are cheapest, on 2 CPUs (medians of 9 fresh processes), the genus-2 scan
+# with class numbers broke even between 32 n (8.3 ms serial, 9.1 forked)
+# and 48 n (22.6 and 20.9); without class numbers a fork costs up to
+# about 3 ms until 128 to 192 n.
+SCAN_FORK_MIN = 48
+# The processes of a scan take blocks of this many consecutive n in turn,
+# forward in one round and backward in the next (0, 1, 1, 0, 0, 1, ... for
+# two), so that each meets every residue of n mod 4: the example curves'
+# classes are undefined at one parity of n, and on the genus-2 class-number
+# scan over [-60, 0] h costs twice as much at n = 0 mod 4 as at 2 mod 4.
+# There the costlier of two processes took 1.37 times its even part of the
+# work with forward turns only, and 1.06 times with alternating turns.
+_SCAN_BLOCK = 2
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _exception_bytes(exc: BaseException) -> bytes:
+    """exc pickled, or a RuntimeError naming it if it does not survive
+    pickling."""
+    import pickle
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def _serve(fd: int, row, ns) -> None:
+    """In a forked worker: compute the rows of ns and send them through fd
+    (b"r" and each row's field values, marshalled), or the exception that
+    stopped them (b"x" and the exception, pickled); then exit at once, so
+    that no finally block or buffered output of the parent's stack runs
+    twice."""
+    code = 1
+    try:
+        try:
+            rows = [row(n) for n in ns]
+            reply = b"r" + marshal.dumps([
+                None if r is None else tuple(getattr(r, f) for f in ROW_FIELDS)
+                for r in rows])
+        except BaseException as exc:
+            reply = b"x" + _exception_bytes(exc)
+        with open(fd, "wb") as pipe:
+            pipe.write(reply)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_rows(row, ns, workers: int) -> list:
+    """row(n) for each n of ns, in order, computed by this process and
+    workers - 1 forked workers, which take blocks of _SCAN_BLOCK
+    consecutive n in turn, forward and backward in alternate rounds.
+    Every worker is reaped before this returns or raises, and killed first
+    if this process fails; a worker's exception is raised here."""
+    shares = [[] for _ in range(workers)]
+    for i in range(len(ns)):
+        rnd, turn = divmod(i // _SCAN_BLOCK, workers)
+        shares[workers - 1 - turn if rnd % 2 else turn].append(i)
+    rows = [None] * len(ns)
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(w, row, [ns[i] for i in share])
+            finally:
+                os.close(w)
+            pids.append(pid)
+        for i in shares[0]:
+            rows[i] = row(ns[i])
+        replies = [pipe.read() for pipe in pipes]
+    except BaseException:
+        import signal
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in pids]
+    for pid, code, reply, share in zip(pids, codes, replies, shares[1:]):
+        if code:
+            ended = (f"was killed by signal {-code}" if code < 0
+                     else f"exited with status {code}")
+            raise RuntimeError(
+                f"scan worker {pid} {ended} without sending its rows")
+        if reply[:1] == b"x":
+            import pickle
+            raise pickle.loads(reply[1:])
+        for i, values in zip(share, marshal.loads(reply[1:])):
+            rows[i] = None if values is None else SpecializationRow(*values)
+    return rows
+
+
 def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
          n_lo: int, n_hi: int, *, class_numbers: bool = False,
          squarefree_only: bool = False,
@@ -313,6 +432,18 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     squarefree_only, rows where f(n)/fd(f) has a square factor are
     dropped; an n whose f(n) cannot be factored keeps its row, with the
     error.  Per-row failures land in the row's error field.
+
+    A range of SCAN_FORK_MIN n or more is split over the CPUs this
+    process may use: one forked worker per CPU beyond the first, each
+    taking blocks of consecutive n in turn, and this process computing
+    its own share.  The rows, and so the CLI's bytes, do not depend on
+    the number of CPUs.  Each worker holds its own copy of the process's
+    memory as it writes to it, and its own caches and prime sieve.  The
+    scan stays in this process when os.fork is missing, when another
+    thread is running (a fork copies only the calling thread), or when
+    one CPU is usable.  An exception raised by a row reaches the caller
+    from whichever process met it, a worker that dies without sending its
+    rows raises RuntimeError, and no worker outlives the call.
     """
     if n_hi > curve.negativity_bound:
         raise PositiveValueError(
@@ -321,9 +452,18 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     form = to_alt_mumford(curve, Q)
     fprime = curve.f.derivative()
     fd_f = fixed_divisor(curve.f) if squarefree_only else None
-    rows = (_scan_row(curve, form, fprime, n, class_numbers, factor_bound,
-                      fd_f) for n in range(n_hi, n_lo - 1, -1))
-    return [row for row in rows if row is not None]
+
+    def row(n: int) -> SpecializationRow | None:
+        return _scan_row(curve, form, fprime, n, class_numbers,
+                         factor_bound, fd_f)
+    ns = range(n_hi, n_lo - 1, -1)
+    workers = 1
+    if (len(ns) >= SCAN_FORK_MIN and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        workers = min(_usable_cpus(), -(-len(ns) // _SCAN_BLOCK))
+    rows = (_forked_rows(row, ns, workers) if workers > 1
+            else map(row, ns))
+    return [r for r in rows if r is not None]
 
 
 def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -341,6 +481,10 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     any k up to the cap: that hit's order_maximal raises OrderBoundError
     when read, and every other hit's is already computed.  progress, if
     given, is called with (n, order or None) for every examined n.
+
+    Unlike scan, the walk stays in one process: it stops at its first hit,
+    so rows that workers computed past it would be wasted work, and the
+    hit's order decides how far the walk goes.
     """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")

@@ -3,13 +3,14 @@ scan/search drivers."""
 
 import dataclasses
 import math
+import os
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperclass.curve import new_curve
-from hyperclass import specialize
+from hyperclass import cli, specialize
 from hyperclass.errors import (
     ClassNumberBoundError,
     InternalInconsistencyError,
@@ -50,7 +51,9 @@ from hyperclass.quadring import (
 )
 from hyperclass.specialize import (
     ROW_FIELDS,
+    SCAN_FORK_MIN,
     Specialisation,
+    SpecializationRow,
     _delta_ideal,
     _has_square,
     delta_n,
@@ -794,3 +797,195 @@ def test_class_number_past_its_reach_lands_in_the_row():
     for r in primitive:
         assert r.error.startswith(ClassNumberBoundError.__name__), r.n
         assert r.form_a is not None and r.h_maximal is None
+
+
+def test_content_is_computed_once_per_record(monkeypatch):
+    # primitive and every NotPrimitiveError message read one cached gcd,
+    # also when pairing_value follows delta_n on the same record
+    calls = []
+    content = specialize.value_gcd
+
+    def counted(s):
+        calls.append(s.n)
+        return content(s)
+    monkeypatch.setattr(specialize, "value_gcd", counted)
+    specialize._specialised.cache_clear()
+    for f in (delta_n, pairing_value, delta_n):
+        with pytest.raises(NotPrimitiveError) as info:
+            f(CURVE, Q, -2)
+        assert str(info.value) == (
+            "value form at n = -2 has a content of 3 bits; the class is not "
+            "computed from an imprimitive representative")
+    s = specialize._specialised(CURVE, Q, -2, FACTOR_BOUND)
+    assert s.content == 4 and not s.primitive
+    assert calls == [-2]
+
+
+def cpus(monkeypatch, count):
+    """Make scan see count usable CPUs, and count its forks."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(specialize, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def capped_orders(monkeypatch):
+    order = IdealClass.order
+    monkeypatch.setattr(IdealClass, "order", lambda self: order(self, 6))
+
+
+SCAN_CASES = {
+    "genus1": (CURVE, Q, -400, 1, {}, None),
+    "genus2-class-numbers": (GEN2, Q2, -60, 0, {"class_numbers": True},
+                             None),
+    "squarefree": (CURVE, Q, -400, 1, {"squarefree_only": True}, None),
+    "capped": (CURVE, Q, -80, -1, {"class_numbers": True}, capped_orders),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_forked_rows_equal_serial_rows(monkeypatch, case):
+    curve, P, lo, hi, kwargs, plant = SCAN_CASES[case]
+    if plant is not None:
+        plant(monkeypatch)
+    got = {}
+    for count in (1, 2, 3):
+        forks = cpus(monkeypatch, count)
+        got[count] = scan(curve, P, lo, hi, **kwargs)
+        assert len(forks) == count - 1
+        assert no_worker_left()
+    assert got[2] == got[1] and got[3] == got[1]
+    if plant is not None:
+        assert sum(r.error is not None and r.error.startswith(
+            "OrderBoundError") for r in got[1]) > 10
+
+
+CLI_CASES = {
+    "genus1-csv": ("f = [-4, 0, 0, 1]\npoint = (2, 2)\n", "-400", "1"),
+    "genus2-json-class-numbers": (
+        "f = [-1, 1, 0, 0, 0, 1]\npoint = (1, 1)\nformat = json\n"
+        "class_numbers = true\n", "-60", "0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_forked_scan_prints_the_serial_bytes(monkeypatch, tmp_path, capsys,
+                                             case):
+    text, lo, hi = CLI_CASES[case]
+    path = tmp_path / "scan.cfg"
+    path.write_text(text)
+    out = {}
+    for count in (1, 2, 3):
+        cpus(monkeypatch, count)
+        assert cli.main(["scan", "--config", str(path), "--from", lo,
+                         "--to", hi]) == 0
+        out[count] = capsys.readouterr()
+    assert out[1].err == "" and out[1].out.count("\n") > 50
+    assert out[2] == out[1] and out[3] == out[1]
+
+
+def test_workers_take_blocks_of_two_n_in_turn():
+    # a split by parity would give one worker every defined row of the
+    # genus-2 example, which over [-60, 0] is defined only at even n
+    def whose(n):
+        return SpecializationRow(n=n, error=str(os.getpid()))
+    rows = specialize._forked_rows(whose, range(13, -1, -1), 3)
+    assert [r.n for r in rows] == list(range(13, -1, -1))
+    owners = [r.error for r in rows]
+    assert owners[0::2] == owners[1::2]
+    blocks = owners[0::2]
+    assert blocks[0] == str(os.getpid()) and len(set(blocks[:3])) == 3
+    # the turns go forward, then backward
+    assert blocks[3:6] == blocks[2::-1] and blocks[6] == blocks[0]
+    assert no_worker_left()
+
+
+def test_short_scan_never_forks(monkeypatch):
+    def refused():
+        raise AssertionError("forked")
+    monkeypatch.setattr(specialize, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    hi = CURVE.negativity_bound
+    rows = scan(CURVE, Q, hi - SCAN_FORK_MIN + 2, hi)
+    assert len(rows) == SCAN_FORK_MIN - 1
+    with pytest.raises(AssertionError, match="forked"):
+        scan(CURVE, Q, hi - SCAN_FORK_MIN + 1, hi)
+    monkeypatch.setattr(specialize, "_usable_cpus", lambda: 1)
+    assert len(scan(CURVE, Q, -400, hi)) == 402
+
+
+# with two CPUs over [-60, 1] this process takes the blocks (1, 0),
+# (-5, -6), (-7, -8), ... and the worker (-1, -2), (-3, -4), (-9, -10), ...
+WORKER_N, PARENT_N = -2, 1
+
+
+def planted_row(monkeypatch, at, action):
+    row = specialize._scan_row
+
+    def planted(curve, form, fprime, n, *args):
+        if n == at:
+            action()
+        return row(curve, form, fprime, n, *args)
+    monkeypatch.setattr(specialize, "_scan_row", planted)
+    cpus(monkeypatch, 2)
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    def fail():
+        raise RuntimeError(f"planted in process {os.getpid()}")
+    planted_row(monkeypatch, WORKER_N, fail)
+    with pytest.raises(RuntimeError, match="planted in process") as info:
+        scan(CURVE, Q, -60, 1)
+    assert str(os.getpid()) not in str(info.value)
+    assert no_worker_left()
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: its args hold one value."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} {where}")
+
+
+def test_an_exception_that_does_not_travel_arrives_by_name(monkeypatch):
+    class Local(Exception):   # a local class does not pickle
+        pass
+
+    for exc, text in ((Local("planted"), "Local: planted"),
+                      (TwoArgError("planted", 2), "TwoArgError: planted 2")):
+        def fail():
+            raise exc
+        planted_row(monkeypatch, WORKER_N, fail)
+        with pytest.raises(RuntimeError) as info:
+            scan(CURVE, Q, -60, 1)
+        assert str(info.value) == text
+        assert no_worker_left()
+        monkeypatch.undo()
+
+
+def test_a_worker_that_dies_without_writing_is_named(monkeypatch):
+    planted_row(monkeypatch, WORKER_N, lambda: os._exit(7))
+    with pytest.raises(RuntimeError,
+                       match="exited with status 7 without sending"):
+        scan(CURVE, Q, -60, 1)
+    assert no_worker_left()
+
+
+def test_a_failing_caller_kills_and_reaps_its_workers(monkeypatch):
+    def fail():
+        raise KeyboardInterrupt
+    planted_row(monkeypatch, PARENT_N, fail)
+    with pytest.raises(KeyboardInterrupt):
+        scan(CURVE, Q, -60, 1)
+    assert no_worker_left()
