@@ -24,11 +24,16 @@ step of this per-n chain once, and only when it is read.  The scan driver
 evaluates whole ranges of n, records one row per value with orders in
 both Picard groups, and never aborts on a per-value error: failures are
 data.  No row depends on another, so a long scan splits its n over forked
-workers, one per usable CPU, and merges their rows in n order.
+workers, one per usable CPU, and merges their rows in n order.  The
+order-chasing search find_order_at_least() walks its first n in one
+process; past them the same workers run ahead through their blocks of n,
+the caller replays the blocks in n order, and the first hit ends the
+walk and the workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import marshal
 import os
 import threading
@@ -318,7 +323,9 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
 # are cheapest, on 2 CPUs (medians of 9 fresh processes), the genus-2 scan
 # with class numbers broke even between 32 n (8.3 ms serial, 9.1 forked)
 # and 48 n (22.6 and 20.9); without class numbers a fork costs up to
-# about 3 ms until 128 to 192 n.
+# about 3 ms until 128 to 192 n.  A search walks this many n from the
+# negativity bound in one process before it forks: on the genus-1 example
+# they take 2 to 4 ms, so a hit among them is reported without a fork.
 SCAN_FORK_MIN = 48
 # The processes of a scan take blocks of this many consecutive n in turn,
 # forward in one round and backward in the next (0, 1, 1, 0, 0, 1, ... for
@@ -326,7 +333,8 @@ SCAN_FORK_MIN = 48
 # classes are undefined at one parity of n, and on the genus-2 class-number
 # scan over [-60, 0] h costs twice as much at n = 0 mod 4 as at 2 mod 4.
 # There the costlier of two processes took 1.37 times its even part of the
-# work with forward turns only, and 1.06 times with alternating turns.
+# work with forward turns only, and 1.06 times with alternating turns.  The
+# processes of a search take the same blocks in the same turns.
 _SCAN_BLOCK = 2
 
 
@@ -336,6 +344,22 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _processes(blocks: int) -> int:
+    """The number of processes to share a number of blocks of n: one per
+    usable CPU, but only this one when os.fork is missing or another
+    thread is running (a fork copies only the calling thread)."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return 1
+    return min(_usable_cpus(), blocks)
+
+
+def _owner(block: int, processes: int) -> int:
+    """The process that takes the block-th block: 0 is the caller, and the
+    turns go forward in even rounds and backward in odd ones."""
+    rnd, turn = divmod(block, processes)
+    return processes - 1 - turn if rnd % 2 else turn
 
 
 def _exception_bytes(exc: BaseException) -> bytes:
@@ -350,12 +374,52 @@ def _exception_bytes(exc: BaseException) -> bytes:
         return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
 
 
+def _fork(processes: int, serve, pids: list, pipes: list) -> None:
+    """Fork processes - 1 workers.  Worker w runs serve(w, fd), with fd the
+    write end of its pipe, and serve must end in os._exit.  Each worker's
+    pid and the read end of its pipe join pids and pipes as it starts, so
+    that the caller can kill and reap whatever has started if a fork
+    fails."""
+    for w in range(1, processes):
+        r, fd = os.pipe()
+        pipes.append(open(r, "rb"))
+        try:
+            pid = os.fork()
+            if pid == 0:
+                serve(w, fd)
+        finally:
+            os.close(fd)
+        pids.append(pid)
+
+
+def _kill(pids: list) -> None:
+    # the interpreter loads _signal at start-up, while importing signal
+    # builds its enums, about 1 ms that a search's hit would wait for
+    from _signal import SIGKILL
+    for pid in pids:
+        os.kill(pid, SIGKILL)
+
+
+def _reap(pids: list) -> list[int]:
+    """Wait for each worker; their exit codes, negative for a signal."""
+    return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+
+
+def _died(kind: str, pid: int, code: int) -> RuntimeError:
+    """The error that names a worker which ended with code before it
+    sent what the caller waits for."""
+    ended = (f"was killed by signal {-code}" if code < 0
+             else f"exited with status {code}")
+    return RuntimeError(
+        f"{kind} worker {pid} {ended} without sending its rows")
+
+
 def _serve(fd: int, row, ns) -> None:
-    """In a forked worker: compute the rows of ns and send them through fd
-    (b"r" and each row's field values, marshalled), or the exception that
-    stopped them (b"x" and the exception, pickled); then exit at once, so
-    that no finally block or buffered output of the parent's stack runs
-    twice."""
+    """In a forked scan worker: compute the rows of ns and send them
+    through fd (b"r" and each row's field values, marshalled), or the
+    exception that stopped them (b"x" and the exception, pickled); then
+    exit at once, so that no finally block or buffered output of the
+    parent's stack runs twice."""
     code = 1
     try:
         try:
@@ -380,40 +444,25 @@ def _forked_rows(row, ns, workers: int) -> list:
     if this process fails; a worker's exception is raised here."""
     shares = [[] for _ in range(workers)]
     for i in range(len(ns)):
-        rnd, turn = divmod(i // _SCAN_BLOCK, workers)
-        shares[workers - 1 - turn if rnd % 2 else turn].append(i)
+        shares[_owner(i // _SCAN_BLOCK, workers)].append(i)
     rows = [None] * len(ns)
     pids, pipes = [], []
     try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(w, row, [ns[i] for i in share])
-            finally:
-                os.close(w)
-            pids.append(pid)
+        _fork(workers, lambda w, fd: _serve(
+            fd, row, [ns[i] for i in shares[w]]), pids, pipes)
         for i in shares[0]:
             rows[i] = row(ns[i])
         replies = [pipe.read() for pipe in pipes]
     except BaseException:
-        import signal
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+        _kill(pids)
         raise
     finally:
         for pipe in pipes:
             pipe.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid in pids]
+        codes = _reap(pids)
     for pid, code, reply, share in zip(pids, codes, replies, shares[1:]):
         if code:
-            ended = (f"was killed by signal {-code}" if code < 0
-                     else f"exited with status {code}")
-            raise RuntimeError(
-                f"scan worker {pid} {ended} without sending its rows")
+            raise _died("scan", pid, code)
         if reply[:1] == b"x":
             import pickle
             raise pickle.loads(reply[1:])
@@ -457,13 +506,122 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
         return _scan_row(curve, form, fprime, n, class_numbers,
                          factor_bound, fd_f)
     ns = range(n_hi, n_lo - 1, -1)
-    workers = 1
-    if (len(ns) >= SCAN_FORK_MIN and hasattr(os, "fork")
-            and threading.active_count() == 1):
-        workers = min(_usable_cpus(), -(-len(ns) // _SCAN_BLOCK))
+    workers = (_processes(-(-len(ns) // _SCAN_BLOCK))
+               if len(ns) >= SCAN_FORK_MIN else 1)
     rows = (_forked_rows(row, ns, workers) if workers > 1
             else map(row, ns))
     return [r for r in rows if r is not None]
+
+
+def _walk(examine, ns, progress):
+    """The record of the first hit among ns, walked in this process, or
+    None; progress(n, order) is called for every examined n."""
+    for n in ns:
+        got = examine(n)
+        if got is None:
+            continue
+        s, order, hit = got
+        if progress is not None:
+            progress(n, order)
+        if hit:
+            return s
+    return None
+
+
+def _blocks(hi: int, lo: int):
+    """The blocks of _SCAN_BLOCK consecutive n from hi down to lo, made as
+    they are needed: the walk may be far too long to count."""
+    for top in itertools.count(hi, -_SCAN_BLOCK):
+        if top < lo:
+            return
+        yield range(top, max(top - _SCAN_BLOCK, lo - 1), -1)
+
+
+def _search_worker(w: int, fd: int, examine, hi: int, lo: int,
+                   processes: int) -> None:
+    """In forked search worker w: walk the blocks of n from hi down to lo
+    that are w's turns, and send each through fd as one message, the
+    length of its data in 4 bytes and then, marshalled, the (n, order or
+    None) pairs of its examined n, whether the last was a hit, and None or
+    the pickled exception that stopped the block.  Stop after a hit, an
+    exception or the last block, and exit at once."""
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for b, ns in enumerate(_blocks(hi, lo)):
+                if _owner(b, processes) != w:
+                    continue
+                found, hit, failure = [], False, None
+                try:
+                    hit = _walk(examine, ns, lambda n, order: found.append(
+                        (n, order))) is not None
+                except BaseException as exc:
+                    failure = _exception_bytes(exc)
+                data = marshal.dumps((found, hit, failure))
+                pipe.write(len(data).to_bytes(4, "little") + data)
+                pipe.flush()
+                if hit or failure is not None:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _replay(pipe, pids: list, pid: int, progress) -> int | None:
+    """Read worker pid's next block from pipe and call progress on each of
+    its examined n; the n of its hit, or None.  The exception that stopped
+    the block is raised after the n before it, and a worker that died
+    before sending the block is reaped, dropped from pids and named."""
+    head = pipe.read(4)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    if len(head) < 4 or len(data) < size:
+        code = _reap([pid])[0]
+        pids.remove(pid)
+        raise _died("search", pid, code)
+    found, hit, failure = marshal.loads(data)
+    if progress is not None:
+        for n, order in found:
+            progress(n, order)
+    if hit:
+        return found[-1][0]
+    if failure is not None:
+        import pickle
+        raise pickle.loads(failure)
+    return None
+
+
+def _forked_search(examine, progress, hi: int, lo: int, processes: int):
+    """The record of the first hit from hi down to lo, or None, walked by
+    this process and processes - 1 forked workers, which take blocks of n
+    in turn as a scan does.  Each worker runs ahead through its own blocks
+    and streams them here, where they are replayed in n order, so the
+    progress calls and the hit are the serial walk's.  At the first hit,
+    or at any failure, every worker is killed; every worker is reaped
+    before this returns or raises."""
+    pids, pipes = [], []
+    try:
+        _fork(processes, lambda w, fd: _search_worker(
+            w, fd, examine, hi, lo, processes), pids, pipes)
+        hit = None
+        for b, ns in enumerate(_blocks(hi, lo)):
+            w = _owner(b, processes)
+            hit = (_walk(examine, ns, progress) if w == 0
+                   else _replay(pipes[w - 1], pids, pids[w - 1], progress))
+            if hit is not None:
+                break
+    except BaseException:
+        _kill(pids)
+        raise
+    else:
+        _kill(pids)
+        # a worker's hit is an n: its record is rebuilt while the workers
+        # die, and its order is read here, as the serial walk reads it
+        return examine(hit)[0] if isinstance(hit, int) else hit
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        _reap(pids)
 
 
 def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -480,32 +638,47 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     InternalInconsistencyError propagates.  An order past ORDER_CAP meets
     any k up to the cap: that hit's order_maximal raises OrderBoundError
     when read, and every other hit's is already computed.  progress, if
-    given, is called with (n, order or None) for every examined n.
+    given, is called with (n, order or None) for every examined n, in
+    descending n, in this process.
 
-    Unlike scan, the walk stays in one process: it stops at its first hit,
-    so rows that workers computed past it would be wasted work, and the
-    hit's order decides how far the walk goes.
+    The first SCAN_FORK_MIN n are walked in this process, so a search
+    whose hit lies there never forks.  Past them the walk is shared, as a
+    scan's range is, with one forked worker per usable CPU beyond the
+    first: the workers run ahead through their blocks of n and stream
+    them back, this process replays every block in n order, and at the
+    first hit it kills the workers, whose rows past the hit are wasted.
+    The hit, the progress calls and any exception are the serial walk's,
+    whatever the number of CPUs; a hit that a worker found is specialised
+    again here, and its order read, before the record is returned.  No
+    worker outlives the call.
     """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
     form = to_alt_mumford(curve, Q)
     fd_f = fixed_divisor(curve.f) if squarefree_only else None
-    for n in range(curve.negativity_bound, n_floor - 1, -1):
-        hit = False
+
+    def examine(n: int):
+        """(record or None, order or None, hit) at n, or None where
+        squarefree_only drops n."""
+        s = None
         try:
             s = specialize_form(form, curve, n, factor_bound)
             if squarefree_only and _has_square(s, fd_f):
-                continue
+                return None
             order = s.order_maximal
-            hit = order >= k
+            return s, order, order >= k
         except OrderBoundError:
-            order, hit = None, k <= ORDER_CAP
+            return s, None, k <= ORDER_CAP
         except InternalInconsistencyError:
             raise
         except HyperclassError:
-            order = None
-        if progress is not None:
-            progress(n, order)
-        if hit:
-            return s
-    return None
+            return s, None, False
+    top = curve.negativity_bound
+    hi = max(n_floor - 1, top - SCAN_FORK_MIN)
+    s = _walk(examine, range(top, hi, -1), progress)
+    if s is not None or hi < n_floor:
+        return s
+    processes = _processes(-(-(hi - n_floor + 1) // _SCAN_BLOCK))
+    if processes == 1:
+        return _walk(examine, range(hi, n_floor - 1, -1), progress)
+    return _forked_search(examine, progress, hi, n_floor, processes)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -277,6 +278,60 @@ def test_search_computes_no_order_after_the_hit(tmp_path, capsys,
     assert "order = 6" in out.splitlines()
     assert specialised == examined == [1, 0, -1, -2, -3, -4, -5]
     assert len(counted) == 1
+
+
+def test_forked_search_computes_no_order_after_a_workers_hit(
+        tmp_path, capsys, monkeypatch):
+    # as above, on two CPUs with the hit n = -403 in the worker's block:
+    # this process specialises its own n and the worker's hit again, and
+    # reads that hit's order before the search returns
+    found, examined, specialised, forks = [], [], [], []
+    search = cli.find_order_at_least
+    order = IdealClass.order
+    specialise = specialize.specialize_form
+    fork = os.fork
+
+    def find(*args, progress, **kwargs):
+        def note(n, o):
+            examined.append(n)
+            progress(n, o)
+        found.append(search(*args, progress=note, **kwargs))
+        return found[-1]
+
+    def guarded_order(self, *args):
+        assert not found, "class order computed after the search"
+        return order(self, *args)
+
+    def counted_specialise(form, curve, n, *args):
+        specialised.append(n)
+        return specialise(form, curve, n, *args)
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(cli, "find_order_at_least", find)
+    monkeypatch.setattr(IdealClass, "order", guarded_order)
+    monkeypatch.setattr(specialize, "specialize_form", counted_specialise)
+    monkeypatch.setattr(specialize, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    cfg = write_config(tmp_path, BASE)
+    code, out, err = run(
+        ["search", "--config", cfg, "--min-order", "12000", "--floor",
+         "-3000"], capsys)
+    assert code == 0, err
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [s.n for s in found] == [-403]
+    assert "order = 13406" in out.splitlines()
+    assert examined == list(range(1, -404, -1))
+    # this process specialised the first 48 n, the n of its own blocks
+    # and the worker's hit
+    hi = CURVE.negativity_bound - specialize.SCAN_FORK_MIN
+    own = [n for n in examined[48:]
+           if specialize._owner((hi - n) // 2, 2) == 0]
+    assert specialised == examined[:48] + own + [-403]
 
 
 def test_search_keeps_its_hit_when_h_is_refused(tmp_path, capsys,

@@ -4,6 +4,7 @@ scan/search drivers."""
 import dataclasses
 import math
 import os
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -989,3 +990,198 @@ def test_a_failing_caller_kills_and_reaps_its_workers(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         scan(CURVE, Q, -60, 1)
     assert no_worker_left()
+
+
+def owner(n, processes):
+    """The process whose block holds n in a search of CURVE."""
+    block = (CURVE.negativity_bound - SCAN_FORK_MIN - n) // 2
+    return specialize._owner(block, processes)
+
+
+def capped_at(monkeypatch, n):
+    """Plant an order past the cap at n's class in the maximal order."""
+    disc = specialize_form(to_alt_mumford(CURVE, Q), CURVE,
+                           n).maximal_class.disc
+    order = IdealClass.order
+
+    def capped(self, cap=ORDER_CAP):
+        if self.disc == disc:
+            raise OrderBoundError("planted")
+        return order(self, cap)
+    monkeypatch.setattr(IdealClass, "order", capped)
+
+
+# (k, floor, keyword arguments, plant, hit n); the hit of search-g1's
+# search, n = -403, is in a worker's block at 2 CPUs, and n = -85 in this
+# process's
+SEARCH_CASES = {
+    "worker-hit": (12000, -3000, {}, None, -403),
+    "caller-hit": (1000, -3000, {}, None, -85),
+    "miss": (10**9, -300, {}, None, None),
+    "squarefree": (2000, -3000, {"squarefree_only": True}, None, -145),
+    "capped": (ORDER_CAP, -3000, {}, lambda mp: capped_at(mp, -115), -115),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_forked_search_equals_serial_search(monkeypatch, case):
+    k, floor, kwargs, plant, hit = SEARCH_CASES[case]
+    if plant is not None:
+        plant(monkeypatch)
+    got = {}
+    for count in (1, 2, 3):
+        forks = cpus(monkeypatch, count)
+        calls = []
+        s = find_order_at_least(CURVE, Q, k, floor, **kwargs,
+                                progress=lambda n, o: calls.append((n, o)))
+        assert len(forks) == count - 1
+        assert no_worker_left()
+        if s is None:
+            got[count] = calls, None
+            continue
+        try:
+            order = s.order_maximal
+        except OrderBoundError as exc:
+            order = str(exc)
+        got[count] = calls, (s.n, s.maximal_class.rep, order)
+    assert got[2] == got[1] and got[3] == got[1]
+    calls, found = got[1]
+    assert calls[-1][0] == (floor if hit is None else hit)
+    if hit is not None:
+        assert found[0] == hit
+    if plant is not None:
+        assert found[2] == "planted"
+    if case == "worker-hit":
+        assert owner(hit, 2) == 1
+    if case == "caller-hit":
+        assert owner(hit, 2) == 0
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_forked_search_prints_the_serial_bytes(monkeypatch, tmp_path,
+                                               capsys, case):
+    k, floor, kwargs, plant, hit = SEARCH_CASES[case]
+    if plant is not None:
+        plant(monkeypatch)
+    path = tmp_path / "search.cfg"
+    path.write_text("f = [-4, 0, 0, 1]\npoint = (2, 2)\n")
+    argv = ["search", "--config", str(path), "--min-order", str(k),
+            "--floor", str(floor)]
+    if kwargs.get("squarefree_only"):
+        argv.append("--squarefree-only")
+    got = {}
+    for count in (1, 2, 3):
+        cpus(monkeypatch, count)
+        got[count] = cli.main(argv), capsys.readouterr()
+        assert no_worker_left()
+    assert got[2] == got[1] and got[3] == got[1]
+    code, out = got[1]
+    assert code == {"miss": 1, "capped": 2}.get(case, 0)
+    if hit is None:
+        assert out.err == ("no n >= -300 with pairing order >= 1000000000\n"
+                           "examined = 302\ndefined = 151\n"
+                           "max_order_seen = 8609\n")
+    else:
+        assert out.out.startswith(f"n = {hit}\n")
+
+
+def planted_search(monkeypatch, at, action):
+    """Run action where the search specialises an n that at accepts."""
+    specialise = specialize.specialize_form
+
+    def planted(form, curve, n, *args):
+        if at(n):
+            action()
+        return specialise(form, curve, n, *args)
+    monkeypatch.setattr(specialize, "specialize_form", planted)
+    return cpus(monkeypatch, 2)
+
+
+def test_a_worker_inconsistency_before_the_hit_reaches_the_caller(
+        monkeypatch):
+    def fail():
+        raise InternalInconsistencyError(f"planted in process {os.getpid()}")
+    # the second n of the worker's first block (-49, -50)
+    assert owner(-50, 2) == 1
+    planted_search(monkeypatch, lambda n: n == -50, fail)
+    calls = []
+    with pytest.raises(InternalInconsistencyError,
+                       match="planted in process") as info:
+        find_order_at_least(CURVE, Q, 12000, -3000,
+                            progress=lambda n, o: calls.append(n))
+    assert str(info.value) != f"planted in process {os.getpid()}"
+    # the serial walk's calls: every n before the failing one
+    assert calls == list(range(1, -50, -1))
+    assert no_worker_left()
+
+
+@pytest.mark.parametrize("k, hit", [(12000, -403), (1000, -85)])
+def test_an_inconsistency_past_the_hit_is_never_raised(monkeypatch, k, hit):
+    # on 3 CPUs, and at the caller's hit, a worker runs past the hit into
+    # the planted failures
+    def fail():
+        raise InternalInconsistencyError("planted")
+    planted_search(monkeypatch, lambda n: n < hit, fail)
+    for count in (2, 3):
+        forks = cpus(monkeypatch, count)
+        assert find_order_at_least(CURVE, Q, k, -3000).n == hit
+        assert len(forks) == count - 1
+        assert no_worker_left()
+
+
+def test_workers_past_the_hit_are_killed(monkeypatch):
+    # the worker sleeps at n = -89, past the caller's hit at n = -85, so
+    # reaping it without a kill would wait out the sleep
+    assert owner(-85, 2) == 0 and owner(-89, 2) == 1
+    planted_search(monkeypatch, lambda n: n == -89, lambda: time.sleep(30))
+    start = time.monotonic()
+    assert find_order_at_least(CURVE, Q, 1000, -3000).n == -85
+    assert time.monotonic() - start < 20
+    assert no_worker_left()
+
+
+def test_a_search_worker_that_dies_is_named(monkeypatch):
+    planted_search(monkeypatch, lambda n: n == -49, lambda: os._exit(7))
+    with pytest.raises(RuntimeError,
+                       match=r"search worker (\d+) exited with status 7 "
+                             r"without sending") as info:
+        find_order_at_least(CURVE, Q, 12000, -3000)
+    assert int(str(info.value).split()[2]) != os.getpid()
+    assert no_worker_left()
+
+
+def test_a_failing_search_kills_and_reaps_its_workers(monkeypatch):
+    def interrupt():
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+    caller = os.getpid()
+    assert owner(-55, 2) == 0
+    forks = planted_search(monkeypatch, lambda n: n == -55, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        find_order_at_least(CURVE, Q, 12000, -3000)
+    assert len(forks) == 1
+    assert no_worker_left()
+    monkeypatch.undo()
+
+    def progress(n, order):
+        if n == -60:
+            raise ValueError("planted")
+    forks = cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="planted"):
+        find_order_at_least(CURVE, Q, 12000, -3000, progress=progress)
+    assert len(forks) == 1
+    assert no_worker_left()
+
+
+def test_a_search_that_hits_in_its_first_n_never_forks(monkeypatch):
+    def refused():
+        raise AssertionError("forked")
+    monkeypatch.setattr(specialize, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    top = CURVE.negativity_bound
+    assert top - SCAN_FORK_MIN < -43
+    assert find_order_at_least(CURVE, Q, 422, -3000).n == -43
+    assert find_order_at_least(CURVE, Q, 10**9,
+                               top - SCAN_FORK_MIN + 1) is None
+    with pytest.raises(AssertionError, match="forked"):
+        find_order_at_least(CURVE, Q, 1000, -3000)
