@@ -23,23 +23,23 @@ Every caller goes through specialize_form(), whose record computes each
 step of this per-n chain once, and only when it is read.  The scan driver
 evaluates whole ranges of n, records one row per value with orders in
 both Picard groups, and never aborts on a per-value error: failures are
-data.  No row depends on another, so a long scan splits its n over forked
-workers, one per usable CPU, and merges their rows in n order.  The
-order-chasing search find_order_at_least() walks its first n in one
-process; past them the same workers run ahead through their blocks of n,
-the caller replays the blocks in n order, and the first hit ends the
-walk and the workers.
+data.  The order-chasing search find_order_at_least() stops at its first
+hit.  Both walk n through _walk(): a long walk forks one worker per
+usable CPU (a search only past its first n), every process takes blocks
+of n in turn, each worker streams every block it walks, and the caller
+replays the blocks in descending n, so the rows, the hit and any error
+are the serial walk's.
 """
 
 from __future__ import annotations
 
-import itertools
 import marshal
 import os
 import threading
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import attrgetter
 
 from .curve import OddHyperellipticCurve
 from .errors import (
@@ -318,24 +318,27 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
     return row
 
 
-# A scan of fewer n than this stays in one process: forking a worker and
-# collecting it take a few ms.  Timed from the negativity bound, where rows
-# are cheapest, on 2 CPUs (medians of 9 fresh processes), the genus-2 scan
-# with class numbers broke even between 32 n (8.3 ms serial, 9.1 forked)
-# and 48 n (22.6 and 20.9); without class numbers a fork costs up to
-# about 3 ms until 128 to 192 n.  A search walks this many n from the
+# A range of fewer n than this is walked in one process: forking a worker
+# and collecting it take a few ms.  Timed from the negativity bound, where
+# rows are cheapest, on 2 CPUs (medians of 9 fresh processes), the genus-2
+# scan with class numbers broke even between 32 n (8.3 ms serial, 9.1
+# forked) and 48 n (22.6 and 20.9); without class numbers a fork costs up
+# to about 3 ms until 128 to 192 n.  A search walks this many n from the
 # negativity bound in one process before it forks: on the genus-1 example
 # they take 2 to 4 ms, so a hit among them is reported without a fork.
 SCAN_FORK_MIN = 48
-# The processes of a scan take blocks of this many consecutive n in turn,
-# forward in one round and backward in the next (0, 1, 1, 0, 0, 1, ... for
-# two), so that each meets every residue of n mod 4: the example curves'
-# classes are undefined at one parity of n, and on the genus-2 class-number
-# scan over [-60, 0] h costs twice as much at n = 0 mod 4 as at 2 mod 4.
-# There the costlier of two processes took 1.37 times its even part of the
-# work with forward turns only, and 1.06 times with alternating turns.  The
-# processes of a search take the same blocks in the same turns.
+# The processes of a forked walk, a scan's or a search's, take blocks of
+# this many consecutive n in turn, forward in one round and backward in the
+# next (0, 1, 1, 0, 0, 1, ... for two), so that each meets every residue of
+# n mod 4: the example curves' classes are undefined at one parity of n,
+# and on the genus-2 class-number scan over [-60, 0] h costs twice as much
+# at n = 0 mod 4 as at 2 mod 4.  There the costlier of two processes took
+# 1.37 times its even part of the work with forward turns only, and 1.06
+# times with alternating turns.  A worker sends each block as one message
+# as soon as it is walked.
 _SCAN_BLOCK = 2
+
+_row_values = attrgetter(*ROW_FIELDS)
 
 
 def _usable_cpus() -> int:
@@ -362,113 +365,162 @@ def _owner(block: int, processes: int) -> int:
     return processes - 1 - turn if rnd % 2 else turn
 
 
-def _exception_bytes(exc: BaseException) -> bytes:
-    """exc pickled, or a RuntimeError naming it if it does not survive
-    pickling."""
-    import pickle
+def _block(visit, hi: int, lo: int, b: int) -> tuple:
+    """Walk the b-th block of n from hi down to lo: (items, stop, failure),
+    the items of the visits of its n up to the first that stops, whether
+    one stopped, and the Exception that ended the block, or None."""
+    top = hi - b * _SCAN_BLOCK
+    items = []
     try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-        return data
-    except Exception:
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        for n in range(top, max(top - _SCAN_BLOCK, lo - 1), -1):
+            got = visit(n)
+            if got is not None:
+                items.append(got[0])
+                if got[1]:
+                    return items, True, None
+    except Exception as exc:
+        return items, False, exc
+    return items, False, None
 
 
-def _fork(processes: int, serve, pids: list, pipes: list) -> None:
-    """Fork processes - 1 workers.  Worker w runs serve(w, fd), with fd the
-    write end of its pipe, and serve must end in os._exit.  Each worker's
-    pid and the read end of its pipe join pids and pipes as it starts, so
-    that the caller can kill and reap whatever has started if a fork
-    fails."""
-    for w in range(1, processes):
-        r, fd = os.pipe()
-        pipes.append(open(r, "rb"))
-        try:
-            pid = os.fork()
-            if pid == 0:
-                serve(w, fd)
-        finally:
-            os.close(fd)
-        pids.append(pid)
-
-
-def _kill(pids: list) -> None:
-    # the interpreter loads _signal at start-up, while importing signal
-    # builds its enums, about 1 ms that a search's hit would wait for
-    from _signal import SIGKILL
-    for pid in pids:
-        os.kill(pid, SIGKILL)
-
-
-def _reap(pids: list) -> list[int]:
-    """Wait for each worker; their exit codes, negative for a signal."""
-    return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-
-
-def _died(kind: str, pid: int, code: int) -> RuntimeError:
-    """The error that names a worker which ended with code before it
-    sent what the caller waits for."""
-    ended = (f"was killed by signal {-code}" if code < 0
-             else f"exited with status {code}")
-    return RuntimeError(
-        f"{kind} worker {pid} {ended} without sending its rows")
-
-
-def _serve(fd: int, row, ns) -> None:
-    """In a forked scan worker: compute the rows of ns and send them
-    through fd (b"r" and each row's field values, marshalled), or the
-    exception that stopped them (b"x" and the exception, pickled); then
-    exit at once, so that no finally block or buffered output of the
-    parent's stack runs twice."""
+def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int) -> None:
+    """In forked worker w: walk w's blocks and send each through fd as one
+    message, the length of its data in 4 bytes and then, marshalled, the
+    block's items, whether it stopped, and None or the exception that ended
+    it, pickled (a RuntimeError naming one that does not survive pickling).
+    After a block that stops or fails, or the last, exit at once, so that
+    no finally block or buffered output of the caller's stack runs twice."""
     code = 1
     try:
-        try:
-            rows = [row(n) for n in ns]
-            reply = b"r" + marshal.dumps([
-                None if r is None else tuple(getattr(r, f) for f in ROW_FIELDS)
-                for r in rows])
-        except BaseException as exc:
-            reply = b"x" + _exception_bytes(exc)
         with open(fd, "wb") as pipe:
-            pipe.write(reply)
+            b = w
+            while hi - b * _SCAN_BLOCK >= lo:
+                if _owner(b, processes) != w:
+                    b += 1
+                    continue
+                try:
+                    items, stop, exc = _block(visit, hi, lo, b)
+                except BaseException as interrupt:
+                    items, stop, exc = [], False, interrupt
+                failure = None
+                if exc is not None:
+                    import pickle
+                    try:
+                        failure = pickle.dumps(exc)
+                        pickle.loads(failure)
+                    except Exception:
+                        failure = pickle.dumps(RuntimeError(
+                            f"{type(exc).__name__}: {exc}"))
+                data = marshal.dumps((items, stop, failure))
+                pipe.write(len(data).to_bytes(4, "little") + data)
+                pipe.flush()
+                if stop or failure is not None:
+                    break
+                b += 1
         code = 0
     finally:
         os._exit(code)
 
 
-def _forked_rows(row, ns, workers: int) -> list:
-    """row(n) for each n of ns, in order, computed by this process and
-    workers - 1 forked workers, which take blocks of _SCAN_BLOCK
-    consecutive n in turn, forward and backward in alternate rounds.
-    Every worker is reaped before this returns or raises, and killed first
-    if this process fails; a worker's exception is raised here."""
-    shares = [[] for _ in range(workers)]
-    for i in range(len(ns)):
-        shares[_owner(i // _SCAN_BLOCK, workers)].append(i)
-    rows = [None] * len(ns)
-    pids, pipes = [], []
+def _message(pipe: tuple, wait: bool) -> bytes | None:
+    """The data of the next message from a worker's pipe, a (read end,
+    buffer) pair: None if wait is false and it has not all arrived, b""
+    if the worker is gone first."""
+    fd, buf = pipe
+    while len(buf) < 4 or len(buf) < 4 + int.from_bytes(buf[:4], "little"):
+        os.set_blocking(fd, wait)
+        try:
+            chunk = os.read(fd, 1 << 16)
+        except BlockingIOError:
+            return None
+        if not chunk:
+            return b""
+        buf += chunk
+    end = 4 + int.from_bytes(buf[:4], "little")
+    data = bytes(buf[4:end])
+    del buf[:end]
+    return data
+
+
+def _walk(kind: str, visit, take, hi: int, lo: int, processes: int):
+    """Walk n from hi down to lo with visit(n), which returns None or an
+    (item, stop) pair, and call take(item) on every item in descending n;
+    return the item that stops the walk, or None.
+
+    The n go in blocks of _SCAN_BLOCK to this process and processes - 1
+    forked workers in _owner's turns.  A worker walks its blocks ahead and
+    streams each; this process replays every block in n order, and while a
+    worker's next block has not arrived it walks its own next blocks ahead,
+    up to one that stops or fails.  So the items, the stop and the error
+    raised are the serial walk's: the Exception that ends a block is raised
+    after the items before it, and only when its block is replayed.  A
+    worker that dies before its next block is named as a kind worker.
+    Every worker is killed and reaped before this returns or raises."""
+    pids, pipes, ahead = [], [], {}
+    last, halted = -1, False   # the last own block walked; no more ahead
     try:
-        _fork(workers, lambda w, fd: _serve(
-            fd, row, [ns[i] for i in shares[w]]), pids, pipes)
-        for i in shares[0]:
-            rows[i] = row(ns[i])
-        replies = [pipe.read() for pipe in pipes]
-    except BaseException:
-        _kill(pids)
-        raise
+        for w in range(1, processes):
+            r, fd = os.pipe()
+            pipes.append((r, bytearray()))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(w, fd, visit, hi, lo, processes)
+            finally:
+                os.close(fd)
+            pids.append(pid)
+        b = 0
+        while hi - b * _SCAN_BLOCK >= lo:
+            w = _owner(b, processes)
+            if w == 0:
+                walked = ahead.pop(b, None) or _block(visit, hi, lo, b)
+                last = max(last, b)
+            else:
+                data = _message(pipes[w - 1], False)
+                while data is None and not halted:
+                    last += 1
+                    while _owner(last, processes):
+                        last += 1
+                    if hi - last * _SCAN_BLOCK < lo:
+                        halted = True
+                    else:
+                        ahead[last] = _block(visit, hi, lo, last)
+                        halted = ahead[last][1] or ahead[last][2] is not None
+                        data = _message(pipes[w - 1], False)
+                if data is None:
+                    data = _message(pipes[w - 1], True)
+                if not data:
+                    pid = pids.pop(w - 1)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    ended = (f"was killed by signal {-code}" if code < 0
+                             else f"exited with status {code}")
+                    raise RuntimeError(
+                        f"{kind} worker {pid} {ended} without sending its "
+                        f"rows")
+                items, stop, failure = marshal.loads(data)
+                if failure is not None:
+                    import pickle
+                    failure = pickle.loads(failure)
+                walked = items, stop, failure
+            items, stop, failure = walked
+            for item in items:
+                take(item)
+            if stop:
+                return items[-1]
+            if failure is not None:
+                raise failure
+            b += 1
+        return None
     finally:
-        for pipe in pipes:
-            pipe.close()
-        codes = _reap(pids)
-    for pid, code, reply, share in zip(pids, codes, replies, shares[1:]):
-        if code:
-            raise _died("scan", pid, code)
-        if reply[:1] == b"x":
-            import pickle
-            raise pickle.loads(reply[1:])
-        for i, values in zip(share, marshal.loads(reply[1:])):
-            rows[i] = None if values is None else SpecializationRow(*values)
-    return rows
+        # the interpreter loads _signal at start-up, while importing signal
+        # builds its enums, about 1 ms that a search's hit would wait for
+        from _signal import SIGKILL
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+        for r, _ in pipes:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -482,17 +534,17 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     dropped; an n whose f(n) cannot be factored keeps its row, with the
     error.  Per-row failures land in the row's error field.
 
-    A range of SCAN_FORK_MIN n or more is split over the CPUs this
-    process may use: one forked worker per CPU beyond the first, each
-    taking blocks of consecutive n in turn, and this process computing
-    its own share.  The rows, and so the CLI's bytes, do not depend on
-    the number of CPUs.  Each worker holds its own copy of the process's
-    memory as it writes to it, and its own caches and prime sieve.  The
-    scan stays in this process when os.fork is missing, when another
-    thread is running (a fork copies only the calling thread), or when
-    one CPU is usable.  An exception raised by a row reaches the caller
-    from whichever process met it, a worker that dies without sending its
-    rows raises RuntimeError, and no worker outlives the call.
+    A range of SCAN_FORK_MIN n or more is walked by the CPUs this process
+    may use, as _walk shares it: one forked worker per CPU beyond the
+    first, each streaming its blocks of n, and this process replaying
+    them in n order.  The rows, and so the CLI's bytes, do not depend on
+    the number of CPUs, and an exception raised by a row is the serial
+    scan's, that of the first failing n.  Each worker holds its own copy
+    of the process's memory as it writes to it, and its own caches and
+    prime sieve.  The scan stays in this process when os.fork is missing,
+    when another thread is running (a fork copies only the calling
+    thread), or when one CPU is usable.  A worker that dies without
+    sending its rows raises RuntimeError, and no worker outlives the call.
     """
     if n_hi > curve.negativity_bound:
         raise PositiveValueError(
@@ -502,126 +554,17 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     fprime = curve.f.derivative()
     fd_f = fixed_divisor(curve.f) if squarefree_only else None
 
-    def row(n: int) -> SpecializationRow | None:
-        return _scan_row(curve, form, fprime, n, class_numbers,
-                         factor_bound, fd_f)
-    ns = range(n_hi, n_lo - 1, -1)
-    workers = (_processes(-(-len(ns) // _SCAN_BLOCK))
-               if len(ns) >= SCAN_FORK_MIN else 1)
-    rows = (_forked_rows(row, ns, workers) if workers > 1
-            else map(row, ns))
-    return [r for r in rows if r is not None]
-
-
-def _walk(examine, ns, progress):
-    """The record of the first hit among ns, walked in this process, or
-    None; progress(n, order) is called for every examined n."""
-    for n in ns:
-        got = examine(n)
-        if got is None:
-            continue
-        s, order, hit = got
-        if progress is not None:
-            progress(n, order)
-        if hit:
-            return s
-    return None
-
-
-def _blocks(hi: int, lo: int):
-    """The blocks of _SCAN_BLOCK consecutive n from hi down to lo, made as
-    they are needed: the walk may be far too long to count."""
-    for top in itertools.count(hi, -_SCAN_BLOCK):
-        if top < lo:
-            return
-        yield range(top, max(top - _SCAN_BLOCK, lo - 1), -1)
-
-
-def _search_worker(w: int, fd: int, examine, hi: int, lo: int,
-                   processes: int) -> None:
-    """In forked search worker w: walk the blocks of n from hi down to lo
-    that are w's turns, and send each through fd as one message, the
-    length of its data in 4 bytes and then, marshalled, the (n, order or
-    None) pairs of its examined n, whether the last was a hit, and None or
-    the pickled exception that stopped the block.  Stop after a hit, an
-    exception or the last block, and exit at once."""
-    code = 1
-    try:
-        with open(fd, "wb") as pipe:
-            for b, ns in enumerate(_blocks(hi, lo)):
-                if _owner(b, processes) != w:
-                    continue
-                found, hit, failure = [], False, None
-                try:
-                    hit = _walk(examine, ns, lambda n, order: found.append(
-                        (n, order))) is not None
-                except BaseException as exc:
-                    failure = _exception_bytes(exc)
-                data = marshal.dumps((found, hit, failure))
-                pipe.write(len(data).to_bytes(4, "little") + data)
-                pipe.flush()
-                if hit or failure is not None:
-                    break
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _replay(pipe, pids: list, pid: int, progress) -> int | None:
-    """Read worker pid's next block from pipe and call progress on each of
-    its examined n; the n of its hit, or None.  The exception that stopped
-    the block is raised after the n before it, and a worker that died
-    before sending the block is reaped, dropped from pids and named."""
-    head = pipe.read(4)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    if len(head) < 4 or len(data) < size:
-        code = _reap([pid])[0]
-        pids.remove(pid)
-        raise _died("search", pid, code)
-    found, hit, failure = marshal.loads(data)
-    if progress is not None:
-        for n, order in found:
-            progress(n, order)
-    if hit:
-        return found[-1][0]
-    if failure is not None:
-        import pickle
-        raise pickle.loads(failure)
-    return None
-
-
-def _forked_search(examine, progress, hi: int, lo: int, processes: int):
-    """The record of the first hit from hi down to lo, or None, walked by
-    this process and processes - 1 forked workers, which take blocks of n
-    in turn as a scan does.  Each worker runs ahead through its own blocks
-    and streams them here, where they are replayed in n order, so the
-    progress calls and the hit are the serial walk's.  At the first hit,
-    or at any failure, every worker is killed; every worker is reaped
-    before this returns or raises."""
-    pids, pipes = [], []
-    try:
-        _fork(processes, lambda w, fd: _search_worker(
-            w, fd, examine, hi, lo, processes), pids, pipes)
-        hit = None
-        for b, ns in enumerate(_blocks(hi, lo)):
-            w = _owner(b, processes)
-            hit = (_walk(examine, ns, progress) if w == 0
-                   else _replay(pipes[w - 1], pids, pids[w - 1], progress))
-            if hit is not None:
-                break
-    except BaseException:
-        _kill(pids)
-        raise
-    else:
-        _kill(pids)
-        # a worker's hit is an n: its record is rebuilt while the workers
-        # die, and its order is read here, as the serial walk reads it
-        return examine(hit)[0] if isinstance(hit, int) else hit
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        _reap(pids)
+    def visit(n: int):
+        row = _scan_row(curve, form, fprime, n, class_numbers, factor_bound,
+                        fd_f)
+        return None if row is None else (_row_values(row), False)
+    count = n_hi - n_lo + 1
+    processes = (_processes(-(-count // _SCAN_BLOCK))
+                 if count >= SCAN_FORK_MIN else 1)
+    rows = []
+    _walk("scan", visit, lambda values: rows.append(
+        SpecializationRow(*values)), n_hi, n_lo, processes)
+    return rows
 
 
 def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -642,43 +585,53 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     descending n, in this process.
 
     The first SCAN_FORK_MIN n are walked in this process, so a search
-    whose hit lies there never forks.  Past them the walk is shared, as a
-    scan's range is, with one forked worker per usable CPU beyond the
-    first: the workers run ahead through their blocks of n and stream
-    them back, this process replays every block in n order, and at the
-    first hit it kills the workers, whose rows past the hit are wasted.
-    The hit, the progress calls and any exception are the serial walk's,
-    whatever the number of CPUs; a hit that a worker found is specialised
-    again here, and its order read, before the record is returned.  No
-    worker outlives the call.
+    whose hit lies there never forks.  Past them the walk is shared as a
+    scan's is, and stops at the first hit: the workers are killed, and
+    what any process walked past the hit is wasted.  The hit, the
+    progress calls and any exception are the serial walk's, whatever the
+    number of CPUs; a hit that a worker found is specialised again here,
+    and its order read, before the record is returned.  No worker
+    outlives the call.
     """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
     form = to_alt_mumford(curve, Q)
     fd_f = fixed_divisor(curve.f) if squarefree_only else None
+    hits = {}
 
-    def examine(n: int):
-        """(record or None, order or None, hit) at n, or None where
-        squarefree_only drops n."""
-        s = None
+    def visit(n: int):
+        """((n, order or None), hit) at n, or None where squarefree_only
+        drops n; the record of a hit is kept in hits."""
+        s = order = None
         try:
             s = specialize_form(form, curve, n, factor_bound)
             if squarefree_only and _has_square(s, fd_f):
                 return None
             order = s.order_maximal
-            return s, order, order >= k
+            hit = order >= k
         except OrderBoundError:
-            return s, None, k <= ORDER_CAP
+            hit = k <= ORDER_CAP
         except InternalInconsistencyError:
             raise
         except HyperclassError:
-            return s, None, False
+            hit = False
+        if hit:
+            hits[n] = s
+        return (n, order), hit
+
+    def take(item):
+        if progress is not None:
+            progress(*item)
     top = curve.negativity_bound
     hi = max(n_floor - 1, top - SCAN_FORK_MIN)
-    s = _walk(examine, range(top, hi, -1), progress)
-    if s is not None or hi < n_floor:
-        return s
-    processes = _processes(-(-(hi - n_floor + 1) // _SCAN_BLOCK))
-    if processes == 1:
-        return _walk(examine, range(hi, n_floor - 1, -1), progress)
-    return _forked_search(examine, progress, hi, n_floor, processes)
+    hit = _walk("search", visit, take, top, hi + 1, 1)
+    if hit is None and hi >= n_floor:
+        hit = _walk("search", visit, take, hi, n_floor,
+                    _processes(-(-(hi - n_floor + 1) // _SCAN_BLOCK)))
+    if hit is None:
+        return None
+    # a worker's hit is only an n: its record is built again, and its
+    # order read, here
+    if hit[0] not in hits:
+        visit(hit[0])
+    return hits[hit[0]]

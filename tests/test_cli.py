@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -326,12 +328,28 @@ def test_forked_search_computes_no_order_after_a_workers_hit(
     assert [s.n for s in found] == [-403]
     assert "order = 13406" in out.splitlines()
     assert examined == list(range(1, -404, -1))
-    # this process specialised the first 48 n, the n of its own blocks
+    # this process specialised the first 48 n, the n of its own blocks,
+    # perhaps own n past the hit while the worker's block was on its way,
     # and the worker's hit
     hi = CURVE.negativity_bound - specialize.SCAN_FORK_MIN
     own = [n for n in examined[48:]
            if specialize._owner((hi - n) // 2, 2) == 0]
-    assert specialised == examined[:48] + own + [-403]
+    assert specialised[:48 + len(own)] == examined[:48] + own
+    assert all(n < -403 and specialize._owner((hi - n) // 2, 2) == 0
+               for n in specialised[48 + len(own):-1])
+    assert specialised[-1] == -403
+
+
+def test_import_loads_no_fork_module():
+    # select, pickle and signal serve only a forked walk, and load there
+    import hyperclass
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hyperclass.__file__).parents[1]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, hyperclass.cli; print(sorted("
+         "{'select', 'pickle', 'signal'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded == "[]\n"
 
 
 def test_search_keeps_its_hit_when_h_is_refused(tmp_path, capsys,

@@ -900,8 +900,10 @@ def test_workers_take_blocks_of_two_n_in_turn():
     # a split by parity would give one worker every defined row of the
     # genus-2 example, which over [-60, 0] is defined only at even n
     def whose(n):
-        return SpecializationRow(n=n, error=str(os.getpid()))
-    rows = specialize._forked_rows(whose, range(13, -1, -1), 3)
+        return (n, str(os.getpid())), False
+    rows = []
+    specialize._walk("scan", whose, lambda item: rows.append(
+        SpecializationRow(n=item[0], error=item[1])), 13, 0, 3)
     assert [r.n for r in rows] == list(range(13, -1, -1))
     owners = [r.error for r in rows]
     assert owners[0::2] == owners[1::2]
@@ -1185,3 +1187,57 @@ def test_a_search_that_hits_in_its_first_n_never_forks(monkeypatch):
                                top - SCAN_FORK_MIN + 1) is None
     with pytest.raises(AssertionError, match="forked"):
         find_order_at_least(CURVE, Q, 1000, -3000)
+
+
+def test_a_forked_scan_raises_the_serial_scans_error(monkeypatch):
+    # at 2 CPUs n = -2 is in the worker's block (-1, -2) and n = -5 in this
+    # process's (-5, -6), which it may walk before the worker's arrives
+    row = specialize._scan_row
+
+    def planted(curve, form, fprime, n, *args):
+        if n in (-2, -5):
+            raise RuntimeError(f"planted at {n}")
+        return row(curve, form, fprime, n, *args)
+    monkeypatch.setattr(specialize, "_scan_row", planted)
+    for count in (1, 2, 3):
+        forks = cpus(monkeypatch, count)
+        with pytest.raises(RuntimeError, match="^planted at -2$"):
+            scan(CURVE, Q, -60, 1)
+        assert len(forks) == count - 1
+        assert no_worker_left()
+
+
+def test_the_caller_walks_ahead_no_further_than_its_own_hit(monkeypatch):
+    # k = 1000: the hit n = -85 is in this process's block (-85, -86), and
+    # the worker sleeps in the block before it, (-83, -84); this process
+    # walks ahead to its hit while it waits, and not into (-87, -88)
+    assert owner(-83, 2) == 1 and owner(-85, 2) == 0 and owner(-87, 2) == 0
+    caller = os.getpid()
+    specialise = specialize.specialize_form
+    walked, replayed = {}, {}
+
+    def planted(form, curve, n, *args):
+        if os.getpid() == caller:
+            walked.setdefault(n, time.monotonic())
+        elif n == -83:
+            time.sleep(0.5)
+        return specialise(form, curve, n, *args)
+    monkeypatch.setattr(specialize, "specialize_form", planted)
+
+    def progress(n, order):
+        replayed.setdefault(n, time.monotonic())
+        calls.append((n, order))
+    got = {}
+    for count in (1, 2):
+        forks = cpus(monkeypatch, count)
+        calls = []
+        walked.clear()
+        replayed.clear()
+        s = find_order_at_least(CURVE, Q, 1000, -3000, progress=progress)
+        assert len(forks) == count - 1
+        assert no_worker_left()
+        got[count] = s.n, s.order_maximal, calls
+    assert got[2] == got[1] and got[1][0] == -85
+    assert -87 not in walked and -88 not in walked and -86 not in walked
+    # the hit was walked while the worker's block was on its way
+    assert walked[-85] < replayed[-83]
