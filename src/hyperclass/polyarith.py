@@ -7,17 +7,18 @@ trailing zeros, and are immutable and hashable.  The degree of the zero
 polynomial is NEG_INF, a value that compares below every integer.
 
 Division over Q is one pass of long division over a coefficient list,
-which gives the quotient and the remainder together.  Beyond ring
-operations the module provides the number-theoretic extras the rest of
-the package relies on: content and fixed divisor, discriminants via
-fraction-free determinants, square-freeness read off the discriminant
-(no gcd over Q), and first_nonnegative, the least integer where a
+which gives the quotient and the remainder together, and Euclid's
+remainder sequence over Q serves every elimination: extended gcds,
+resultants and discriminants, and Sturm chains.  Beyond ring operations
+the module provides the number-theoretic extras the rest of the package
+relies on: content and fixed divisor, square-freeness read off the
+discriminant, and first_nonnegative, the least integer where a
 polynomial turns nonnegative.  That one search answers every sign
 question in the package (the curve's negativity bound and each cutoff
 of the non-triviality threshold) by bisection on generalised Sturm
 counts, which handle repeated roots without a square-free pass and use
-no floating point.  Everything here is exact;
-there is no numerical fallback.
+no floating point.  Everything here is exact; there is no numerical
+fallback.
 """
 
 from __future__ import annotations
@@ -321,46 +322,27 @@ def is_squarefree(p: IntPoly) -> bool:
 
 
 def resultant(p: IntPoly, q: IntPoly) -> int:
-    """Resultant via fraction-free (Bareiss) elimination of the Sylvester matrix."""
+    """Res(p, q), from Euclid's remainder sequence over Q: with r = p mod q,
+    Res(p, q) = (-1)^(deg p deg q) lc(q)^(deg p - deg r) Res(q, r), and
+    Res(p, c) = c^(deg p) for a constant c; it is 0 once a remainder
+    vanishes."""
     if p.is_zero or q.is_zero:
         raise ValueError("resultant of the zero polynomial")
-    m, n = len(p.coeffs) - 1, len(q.coeffs) - 1
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    mat = [[0] * size for _ in range(size)]
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        mat[i][i:i + m + 1] = pc
-    for i in range(m):
-        mat[n + i][i:i + n + 1] = qc
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            for r in range(k + 1, size):
-                if mat[r][k] != 0:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = mat[k][k]
-        for i in range(k + 1, size):
-            row = mat[i]
-            cik = row[k]
-            # even rows with a zero leading entry must be rescaled by piv/prev,
-            # or the minor invariant (and hence exact divisibility) breaks
-            if cik == 0 and piv == 1 and prev == 1:
-                continue
-            for j in range(k + 1, size):
-                row[j] = (row[j] * piv - cik * mat[k][j]) // prev
-            row[k] = 0
-        prev = piv
-    return sign * mat[size - 1][size - 1]
+    res = Fraction(1)
+    a, b = p.to_rational(), q.to_rational()
+    while b.degree > 0:
+        r = a % b
+        if r.is_zero:
+            return 0
+        if a.degree * b.degree % 2:
+            res = -res
+        res *= b.lc ** (a.degree - r.degree)
+        a, b = b, r
+    res *= b.lc ** a.degree
+    if res.denominator != 1:
+        raise InternalInconsistencyError(
+            "the resultant of two integer polynomials is not an integer")
+    return res.numerator
 
 
 def discriminant(p: IntPoly) -> int:

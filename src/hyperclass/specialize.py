@@ -24,11 +24,11 @@ step of this per-n chain once, and only when it is read.  The scan driver
 evaluates whole ranges of n, records one row per value with orders in
 both Picard groups, and never aborts on a per-value error: failures are
 data.  The order-chasing search find_order_at_least() stops at its first
-hit.  Both walk n through _walk(): a long walk forks one worker per
-usable CPU (a search only past its first n), every process takes blocks
-of n in turn, each worker streams every block it walks, and the caller
-replays the blocks in descending n, so the rows, the hit and any error
-are the serial walk's.
+hit.  Both walk n through _walk(), which forks by one rule: a walk of
+SCAN_FORK_MIN n or more forks a worker per usable CPU past the first,
+every process takes blocks of n in turn, each worker streams every block
+it walks, and the caller replays the blocks in descending n, so the rows,
+the hit and any error are the serial walk's.
 """
 
 from __future__ import annotations
@@ -323,9 +323,9 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
 # rows are cheapest, on 2 CPUs (medians of 9 fresh processes), the genus-2
 # scan with class numbers broke even between 32 n (8.3 ms serial, 9.1
 # forked) and 48 n (22.6 and 20.9); without class numbers a fork costs up
-# to about 3 ms until 128 to 192 n.  A search walks this many n from the
-# negativity bound in one process before it forks: on the genus-1 example
-# they take 2 to 4 ms, so a hit among them is reported without a fork.
+# to about 3 ms until 128 to 192 n.  A search's range forks by the same
+# rule, so a search whose hit lies among its first n forks too when its
+# range reaches this many n.
 SCAN_FORK_MIN = 48
 # The processes of a forked walk, a scan's or a search's, take blocks of
 # this many consecutive n in turn, forward in one round and backward in the
@@ -349,13 +349,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _processes(blocks: int) -> int:
-    """The number of processes to share a number of blocks of n: one per
-    usable CPU, but only this one when os.fork is missing or another
-    thread is running (a fork copies only the calling thread)."""
-    if not hasattr(os, "fork") or threading.active_count() != 1:
+def _processes(count: int) -> int:
+    """The number of processes to walk count n: one per usable CPU, at most
+    one per block, but only this one below SCAN_FORK_MIN n, when os.fork
+    is missing, or when another thread is running (a fork copies only the
+    calling thread)."""
+    if (count < SCAN_FORK_MIN or not hasattr(os, "fork")
+            or threading.active_count() != 1):
         return 1
-    return min(_usable_cpus(), blocks)
+    return min(_usable_cpus(), -(-count // _SCAN_BLOCK))
 
 
 def _owner(block: int, processes: int) -> int:
@@ -363,6 +365,16 @@ def _owner(block: int, processes: int) -> int:
     turns go forward in even rounds and backward in odd ones."""
     rnd, turn = divmod(block, processes)
     return processes - 1 - turn if rnd % 2 else turn
+
+
+def _blocks(w: int, hi: int, lo: int, processes: int):
+    """The indices of the blocks of n from hi down to lo that process w
+    takes, in ascending order, each found only when it is asked for."""
+    b = w
+    while hi - b * _SCAN_BLOCK >= lo:
+        if _owner(b, processes) == w:
+            yield b
+        b += 1
 
 
 def _block(visit, hi: int, lo: int, b: int) -> tuple:
@@ -393,11 +405,7 @@ def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int) -> None:
     code = 1
     try:
         with open(fd, "wb") as pipe:
-            b = w
-            while hi - b * _SCAN_BLOCK >= lo:
-                if _owner(b, processes) != w:
-                    b += 1
-                    continue
+            for b in _blocks(w, hi, lo, processes):
                 try:
                     items, stop, exc = _block(visit, hi, lo, b)
                 except BaseException as interrupt:
@@ -416,7 +424,6 @@ def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int) -> None:
                 pipe.flush()
                 if stop or failure is not None:
                     break
-                b += 1
         code = 0
     finally:
         os._exit(code)
@@ -442,22 +449,25 @@ def _message(pipe: tuple, wait: bool) -> bytes | None:
     return data
 
 
-def _walk(kind: str, visit, take, hi: int, lo: int, processes: int):
+def _walk(kind: str, visit, take, hi: int, lo: int):
     """Walk n from hi down to lo with visit(n), which returns None or an
     (item, stop) pair, and call take(item) on every item in descending n;
     return the item that stops the walk, or None.
 
-    The n go in blocks of _SCAN_BLOCK to this process and processes - 1
-    forked workers in _owner's turns.  A worker walks its blocks ahead and
-    streams each; this process replays every block in n order, and while a
-    worker's next block has not arrived it walks its own next blocks ahead,
-    up to one that stops or fails.  So the items, the stop and the error
-    raised are the serial walk's: the Exception that ends a block is raised
-    after the items before it, and only when its block is replayed.  A
-    worker that dies before its next block is named as a kind worker.
-    Every worker is killed and reaped before this returns or raises."""
+    The n go in blocks of _SCAN_BLOCK to this process and the workers that
+    _processes allows, forked at the start, in _owner's turns.  A worker
+    walks its blocks ahead and streams each; this process replays every
+    block in n order, and while a worker's next block has not arrived it
+    walks its own next blocks ahead, up to one that stops or fails.  So the
+    items, the stop and the error raised are the serial walk's: the
+    Exception that ends a block is raised after the items before it, and
+    only when its block is replayed.  A worker that dies before its next
+    block is named as a kind worker.  Every worker is killed and reaped
+    before this returns or raises."""
+    count = hi - lo + 1
+    processes = _processes(count)
     pids, pipes, ahead = [], [], {}
-    last, halted = -1, False   # the last own block walked; no more ahead
+    mine, halted = _blocks(0, hi, lo, processes), False
     try:
         for w in range(1, processes):
             r, fd = os.pipe()
@@ -469,24 +479,21 @@ def _walk(kind: str, visit, take, hi: int, lo: int, processes: int):
             finally:
                 os.close(fd)
             pids.append(pid)
-        b = 0
-        while hi - b * _SCAN_BLOCK >= lo:
+        for b in range(-(-count // _SCAN_BLOCK)):
             w = _owner(b, processes)
             if w == 0:
-                walked = ahead.pop(b, None) or _block(visit, hi, lo, b)
-                last = max(last, b)
+                # an own block not walked ahead is the next one of mine
+                walked = ahead.pop(b, None) or _block(visit, hi, lo,
+                                                      next(mine))
             else:
                 data = _message(pipes[w - 1], False)
                 while data is None and not halted:
-                    last += 1
-                    while _owner(last, processes):
-                        last += 1
-                    if hi - last * _SCAN_BLOCK < lo:
-                        halted = True
-                    else:
-                        ahead[last] = _block(visit, hi, lo, last)
-                        halted = ahead[last][1] or ahead[last][2] is not None
+                    a = next(mine, None)
+                    if a is not None:
+                        ahead[a] = _block(visit, hi, lo, a)
                         data = _message(pipes[w - 1], False)
+                    halted = (a is None or ahead[a][1]
+                              or ahead[a][2] is not None)
                 if data is None:
                     data = _message(pipes[w - 1], True)
                 if not data:
@@ -509,7 +516,6 @@ def _walk(kind: str, visit, take, hi: int, lo: int, processes: int):
                 return items[-1]
             if failure is not None:
                 raise failure
-            b += 1
         return None
     finally:
         # the interpreter loads _signal at start-up, while importing signal
@@ -558,12 +564,9 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
         row = _scan_row(curve, form, fprime, n, class_numbers, factor_bound,
                         fd_f)
         return None if row is None else (_row_values(row), False)
-    count = n_hi - n_lo + 1
-    processes = (_processes(-(-count // _SCAN_BLOCK))
-                 if count >= SCAN_FORK_MIN else 1)
     rows = []
     _walk("scan", visit, lambda values: rows.append(
-        SpecializationRow(*values)), n_hi, n_lo, processes)
+        SpecializationRow(*values)), n_hi, n_lo)
     return rows
 
 
@@ -584,14 +587,12 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     given, is called with (n, order or None) for every examined n, in
     descending n, in this process.
 
-    The first SCAN_FORK_MIN n are walked in this process, so a search
-    whose hit lies there never forks.  Past them the walk is shared as a
-    scan's is, and stops at the first hit: the workers are killed, and
-    what any process walked past the hit is wasted.  The hit, the
-    progress calls and any exception are the serial walk's, whatever the
-    number of CPUs; a hit that a worker found is specialised again here,
-    and its order read, before the record is returned.  No worker
-    outlives the call.
+    The walk is shared as a scan's is, by the same rule, and stops at the
+    first hit: the workers are killed, and what any process walked past
+    the hit is wasted.  The hit, the progress calls and any exception are
+    the serial walk's, whatever the number of CPUs; a hit that a worker
+    found is specialised again here, and its order read, before the
+    record is returned.  No worker outlives the call.
     """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")
@@ -622,12 +623,7 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     def take(item):
         if progress is not None:
             progress(*item)
-    top = curve.negativity_bound
-    hi = max(n_floor - 1, top - SCAN_FORK_MIN)
-    hit = _walk("search", visit, take, top, hi + 1, 1)
-    if hit is None and hi >= n_floor:
-        hit = _walk("search", visit, take, hi, n_floor,
-                    _processes(-(-(hi - n_floor + 1) // _SCAN_BLOCK)))
+    hit = _walk("search", visit, take, curve.negativity_bound, n_floor)
     if hit is None:
         return None
     # a worker's hit is only an n: its record is built again, and its

@@ -271,6 +271,8 @@ def test_search_computes_no_order_after_the_hit(tmp_path, capsys,
         monkeypatch.setattr(module, "specialize_form", counted_specialise,
                             raising=False)
     monkeypatch.setattr(specialize, "class_number_disc", counted_count)
+    # the serial walk, whose record of the hit the report reads
+    monkeypatch.setattr(specialize, "_usable_cpus", lambda: 1)
     cfg = write_config(tmp_path, BASE)
     code, out, err = run(
         ["search", "--config", cfg, "--min-order", "5", "--floor", "-50"],
@@ -328,15 +330,14 @@ def test_forked_search_computes_no_order_after_a_workers_hit(
     assert [s.n for s in found] == [-403]
     assert "order = 13406" in out.splitlines()
     assert examined == list(range(1, -404, -1))
-    # this process specialised the first 48 n, the n of its own blocks,
+    # this process specialised the n of its own blocks, from n = 1 on,
     # perhaps own n past the hit while the worker's block was on its way,
     # and the worker's hit
-    hi = CURVE.negativity_bound - specialize.SCAN_FORK_MIN
-    own = [n for n in examined[48:]
-           if specialize._owner((hi - n) // 2, 2) == 0]
-    assert specialised[:48 + len(own)] == examined[:48] + own
+    hi = CURVE.negativity_bound
+    own = [n for n in examined if specialize._owner((hi - n) // 2, 2) == 0]
+    assert specialised[:len(own)] == own and own[0] == 1
     assert all(n < -403 and specialize._owner((hi - n) // 2, 2) == 0
-               for n in specialised[48 + len(own):-1])
+               for n in specialised[len(own):-1])
     assert specialised[-1] == -403
 
 

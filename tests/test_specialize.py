@@ -896,15 +896,16 @@ def test_forked_scan_prints_the_serial_bytes(monkeypatch, tmp_path, capsys,
     assert out[2] == out[1] and out[3] == out[1]
 
 
-def test_workers_take_blocks_of_two_n_in_turn():
+def test_workers_take_blocks_of_two_n_in_turn(monkeypatch):
     # a split by parity would give one worker every defined row of the
     # genus-2 example, which over [-60, 0] is defined only at even n
     def whose(n):
         return (n, str(os.getpid())), False
+    monkeypatch.setattr(specialize, "_usable_cpus", lambda: 3)
     rows = []
     specialize._walk("scan", whose, lambda item: rows.append(
-        SpecializationRow(n=item[0], error=item[1])), 13, 0, 3)
-    assert [r.n for r in rows] == list(range(13, -1, -1))
+        SpecializationRow(n=item[0], error=item[1])), SCAN_FORK_MIN - 1, 0)
+    assert [r.n for r in rows] == list(range(SCAN_FORK_MIN - 1, -1, -1))
     owners = [r.error for r in rows]
     assert owners[0::2] == owners[1::2]
     blocks = owners[0::2]
@@ -1175,18 +1176,36 @@ def test_a_failing_search_kills_and_reaps_its_workers(monkeypatch):
     assert no_worker_left()
 
 
-def test_a_search_that_hits_in_its_first_n_never_forks(monkeypatch):
+def test_short_search_never_forks(monkeypatch):
+    # the search forks by the scan's rule, from the first n of its range
     def refused():
         raise AssertionError("forked")
     monkeypatch.setattr(specialize, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", refused)
     top = CURVE.negativity_bound
-    assert top - SCAN_FORK_MIN < -43
-    assert find_order_at_least(CURVE, Q, 422, -3000).n == -43
+    assert find_order_at_least(CURVE, Q, 10**9,
+                               top - SCAN_FORK_MIN + 2) is None
+    with pytest.raises(AssertionError, match="forked"):
+        find_order_at_least(CURVE, Q, 10**9, top - SCAN_FORK_MIN + 1)
+    monkeypatch.undo()
+    forks = cpus(monkeypatch, 2)
     assert find_order_at_least(CURVE, Q, 10**9,
                                top - SCAN_FORK_MIN + 1) is None
-    with pytest.raises(AssertionError, match="forked"):
-        find_order_at_least(CURVE, Q, 1000, -3000)
+    assert len(forks) == 1
+    assert no_worker_left()
+    # over 51 n, with its hit n = -43 among the first 48: one fork before
+    # the first progress call, and the serial walk's hit and calls
+    got = {}
+    for count in (1, 2):
+        forks = cpus(monkeypatch, count)
+        calls = []
+        s = find_order_at_least(
+            CURVE, Q, 422, top - SCAN_FORK_MIN - 2,
+            progress=lambda n, o: calls.append((n, o, len(forks))))
+        assert no_worker_left()
+        got[count] = s.n, s.order_maximal, [c[:2] for c in calls]
+        assert {c[2] for c in calls} == {count - 1}
+    assert got[2] == got[1] and got[1][0] == -43
 
 
 def test_a_forked_scan_raises_the_serial_scans_error(monkeypatch):

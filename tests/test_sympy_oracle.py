@@ -1,4 +1,5 @@
-"""Factoring and primality against sympy, an independent implementation.
+"""Factoring, primality and resultants against sympy, an independent
+implementation.
 
 sympy is a test-only dependency: without it these tests are skipped.
 """
@@ -9,6 +10,7 @@ import pytest
 
 import hyperclass.quadring as qr
 from hyperclass.errors import FactorizationBoundError
+from hyperclass.polyarith import IntPoly, discriminant, resultant
 from hyperclass.quadring import (
     conductor_data,
     factorint,
@@ -125,3 +127,37 @@ def test_legendre_matches_sympy():
             if disc % 4 < 2:
                 want = sympy.kronecker_symbol(disc, p)
                 assert qr._legendre(disc, p) == want, (disc, p)
+
+
+def test_resultant_and_discriminant_match_sympy():
+    # operands of degree 0 to 8, constants among them, pairs with a planted
+    # common factor, and 40-digit coefficients.  The resultant is checked
+    # against sympy's determinant of the Sylvester matrix: sympy 1.14's
+    # resultant has the wrong sign when both degrees are odd and the first
+    # is the smaller (it gives Res(x + 1, x^3) = 1, not -1)
+    rng = random.Random(103)
+    x = sympy.Symbol("x")
+
+    def draw(degree, size):
+        cs = [rng.randint(-size, size) for _ in range(degree)]
+        return IntPoly(cs + [rng.choice((-1, 1)) * rng.randint(1, size)])
+
+    def sylvester_det(p, q):
+        m, n = len(p.coeffs) - 1, len(q.coeffs) - 1
+        rows = ([[0] * i + list(p.coeffs[::-1]) + [0] * (n - 1 - i)
+                 for i in range(n)]
+                + [[0] * i + list(q.coeffs[::-1]) + [0] * (m - 1 - i)
+                   for i in range(m)])
+        return sympy.Matrix(m + n, m + n, sum(rows, [])).to_DM().det()
+
+    for case in range(240):
+        size = 10 ** 40 if case % 4 == 3 else 50
+        p, q = draw(rng.randint(0, 8), size), draw(rng.randint(0, 8), size)
+        if case % 4 == 2:
+            common = draw(rng.randint(1, 3), size)
+            p, q = p * common, q * common
+            assert resultant(p, q) == 0, (p, q)
+        assert resultant(p, q) == sylvester_det(p, q), (p, q)
+        if p.degree >= 1:
+            want = sympy.Poly(p.coeffs[::-1], x).discriminant()
+            assert discriminant(p) == want, p
