@@ -239,7 +239,7 @@ def is_probable_prime(n: int) -> bool:
 def _brent_rho(n: int, max_iters: int) -> int | None:
     """Brent-cycle factor hunt over the constants c = 1, ..., 19, all of
     them within one budget of max_iters iterations; returns a nontrivial
-    factor or None.  n is odd: factorint strips every 2 first."""
+    factor or None.  n is odd: trial division strips every 2 first."""
     iters = 0
     for c in range(1, 20):
         y, m = 2, 128
@@ -276,31 +276,33 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
 # The trial division of factorint stops at _TRIAL_CEILING, so a cofactor
 # below its square that no prime up to there divides is a prime without
 # a primality test.  Past it only a composite with two or more primes
-# above the ceiling reaches the rho and its FACTOR_BOUND budget.
+# above the ceiling reaches the rho and its FACTOR_BOUND budget.  The
+# square part's trial division stops at the same ceiling, or sooner.
 _TRIAL_CEILING = 10 ** 6
 
 
-def factorint(n: int, factor_bound: int = FACTOR_BOUND) -> dict[int, int]:
-    """Prime factorisation of |n| as {prime: exponent}; n must be nonzero.
-
-    Trial division up to the bound min(10^6, isqrt(|n|) + 1), by block
-    gcds (_trial_division).  A cofactor below the bound squared is then 1
-    or a prime, with no Miller-Rabin.  A larger one goes to Miller-Rabin
-    plus a Brent-style rho with an iteration budget of factor_bound for
-    each composite, shared by every constant the rho tries on it.  A
-    survivor beyond the budget raises FactorizationBoundError instead of
-    guessing.
-    """
-    n = abs(n)
+def icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 0, by Newton's method in integers from the
+    power of two above the root, so any size of n is exact."""
+    if n < 0:
+        raise ValueError(f"n of {n.bit_length()} bits must be >= 0")
     if n == 0:
-        raise ValueError("cannot factor zero")
-    bound = min(_TRIAL_CEILING, isqrt(n) + 1)
-    out, n = _trial_division(n, bound)
-    if n < bound * bound:
-        if n > 1:
-            out[n] = 1
-        return out
-    stack = [n]
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _split(m: int, factor_bound: int, out: dict[int, int]) -> None:
+    """Add the primes of a cofactor m >= 2 left by trial division to out:
+    Miller-Rabin, then a Brent-style rho with an iteration budget of
+    factor_bound for each composite, shared by every constant the rho
+    tries on it.  A survivor beyond the budget raises
+    FactorizationBoundError instead of guessing."""
+    stack = [m]
     while stack:
         m = stack.pop()
         if is_probable_prime(m):
@@ -315,15 +317,60 @@ def factorint(n: int, factor_bound: int = FACTOR_BOUND) -> dict[int, int]:
             raise FactorizationBoundError(
                 f"no factor of {m} found within the work bound {factor_bound}")
         stack.extend((d, m // d))
+
+
+def factorint(n: int, factor_bound: int = FACTOR_BOUND) -> dict[int, int]:
+    """Prime factorisation of |n| as {prime: exponent}; n must be nonzero.
+
+    Trial division up to the bound min(10^6, isqrt(|n|) + 1), by block
+    gcds (_trial_division).  A cofactor below the bound squared is then 1
+    or a prime, with no Miller-Rabin.  A larger one goes to _split's
+    Miller-Rabin and rho, with the budget factor_bound for each composite.
+    This is the full factorisation that order_dividing and congruence_data
+    need; the square part of a value takes _square_factors instead.
+    """
+    n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    bound = min(_TRIAL_CEILING, isqrt(n) + 1)
+    out, n = _trial_division(n, bound)
+    if n < bound * bound:
+        if n > 1:
+            out[n] = 1
+        return out
+    _split(n, factor_bound, out)
     return out
 
 
+def _square_factors(n: int, factor_bound: int) -> tuple[tuple[int, int], ...]:
+    """The largest S with S^2 dividing |n|, n nonzero, as ascending (prime,
+    exponent in S) pairs.
+
+    Trial division runs to B = min(10^6, icbrt(|n|) + 1).  A cofactor
+    m < B^3 then has at most two primes, all above B, so it is 1, p, p*q
+    or p^2, and its square part is isqrt(m) exactly when m is a perfect
+    square, with no primality test.  Only a cofactor m >= B^3, which needs
+    |n| > 10^18, goes to _split's Miller-Rabin and rho under factor_bound,
+    and only that one can raise FactorizationBoundError.
+    """
+    n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    bound = min(_TRIAL_CEILING, icbrt(n) + 1)
+    out, m = _trial_division(n, bound)
+    if m < bound ** 3:
+        root = isqrt(m)
+        if m > 1 and root * root == m:
+            out[root] = 2
+    else:
+        _split(m, factor_bound, out)
+    return tuple((p, e // 2) for p, e in sorted(out.items()) if e > 1)
+
+
 def square_part(n: int, factor_bound: int = FACTOR_BOUND) -> int:
-    """Largest S >= 1 with S^2 dividing |n|."""
-    s = 1
-    for p, e in factorint(n, factor_bound).items():
-        s *= p ** (e // 2)
-    return s
+    """Largest S >= 1 with S^2 dividing |n|, from _square_factors: below
+    |n| = 10^18 it needs no rho and never raises FactorizationBoundError."""
+    return prod(p ** e for p, e in _square_factors(n, factor_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -1120,15 +1167,19 @@ CONDUCTOR_CACHE = 64
 
 @lru_cache(maxsize=CONDUCTOR_CACHE)
 def conductor_data(v: int, factor_bound: int = FACTOR_BOUND) -> ConductorData:
-    """Factor v < 0 as S^2*d with d square-free and derive the maximal order.
+    """Write v < 0 as S^2*d with d square-free and derive the maximal order.
 
-    Cached on (v, factor_bound): a value is factored once however many
-    classes are pushed to its maximal order.  An error is not cached.
+    Only the square part S is factored, by _square_factors: trial division
+    to min(10^6, icbrt|v| + 1) and isqrt of the cofactor, so below
+    |v| = 10^18 no rho runs and FactorizationBoundError is never raised;
+    above it a cofactor of 10^18 or more left by trial division goes to
+    Miller-Rabin and the rho under factor_bound.  Cached on (v,
+    factor_bound): a value is factored once however many classes are
+    pushed to its maximal order.  An error is not cached.
     """
     if v >= 0:
         raise ValueError(f"v = {v} must be negative")
-    S_factors = tuple((p, e // 2) for p, e in
-                      sorted(factorint(v, factor_bound).items()) if e > 1)
+    S_factors = _square_factors(v, factor_bound)
     S = prod(p ** e for p, e in S_factors)
     d = v // (S * S)
     if d % 4 == 1:

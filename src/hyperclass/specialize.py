@@ -37,7 +37,7 @@ import marshal
 import os
 import threading
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 from operator import attrgetter
 
@@ -131,6 +131,28 @@ def _delta_ideal(s: Specialisation) -> QuadIdeal:
     return extend_ideal(abs(a2), b2, s.e, s.fval)
 
 
+class _lazy:
+    """A field computed by its method at the first read and stored in the
+    instance __dict__, where every later read finds it without calling
+    this descriptor: what functools.cached_property does from Python 3.12
+    on, without the lock it takes on every first read before that.  A read
+    that raises stores nothing, so the next read computes again.  The
+    store bypasses a frozen dataclass's __setattr__, which still refuses
+    an assignment."""
+
+    def __init__(self, method):
+        self.method, self.__doc__ = method, method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Specialisation:
     """The divisor class at one n: its value form [A(n), 2B(n), C(n)] with
@@ -140,9 +162,11 @@ class Specialisation:
 
     Each derived field is computed once, at first use, so a caller pays
     only for what it reads: the class in the order never factors f(n),
-    and no class order is computed unless an order or a class number is
-    read, since h_maximal is checked against order_maximal.  The ideal
-    raises NotPrimitiveError when the value form is imprimitive.
+    the class in the maximal order of a short ideal needs no reduced form
+    in the order, and no class order is computed unless an order or a
+    class number is read, since h_maximal is checked against
+    order_maximal.  The ideal raises NotPrimitiveError when the value form
+    is imprimitive.
     """
 
     n: int
@@ -153,42 +177,45 @@ class Specialisation:
     fval: int
     factor_bound: int = FACTOR_BOUND
 
-    @cached_property
+    @_lazy
     def content(self) -> int:
         """gcd(A(n), 2B(n), C(n)), read by primitive and by the
         NotPrimitiveError message of every read of an imprimitive ideal."""
         return value_gcd(self)
 
-    @cached_property
+    @_lazy
     def primitive(self) -> bool:
         return is_n_primitive(self)
 
-    @cached_property
+    @_lazy
     def ideal(self) -> QuadIdeal:
         return _delta_ideal(self)
 
-    @cached_property
+    @_lazy
     def conductor(self) -> ConductorData:
         return conductor_data(self.fval, self.factor_bound)
 
-    @cached_property
+    @_lazy
     def delta_class(self) -> IdealClass:
         """delta_n(Q) in Pic(Z[sqrt(f(n))])."""
         return ideal_to_class(self.ideal)
 
-    @cached_property
+    @_lazy
     def maximal_class(self) -> IdealClass:
         """The image of delta_n(Q) in the class group of the maximal order.
 
-        The push is a homomorphism on Pic(Z[sqrt(f(n))]), so it takes the
-        ideal of delta_class's reduced form, whose entries are near
-        sqrt|f(n)|, rather than the ideal itself, whose entries can be
-        far longer."""
-        return push_to_maximal(
-            form_to_ideal(self.delta_class.rep, self.fval),
-            self.conductor)
+        An ideal with a <= |f(n)| is pushed as it is, so a search, which
+        reads only this class, never reduces in Z[sqrt(f(n))].  A longer
+        one, such as that of a large multiple kP, is pushed by the ideal of
+        delta_class's reduced form, whose entries are near sqrt|f(n)|: the
+        push is a homomorphism on Pic(Z[sqrt(f(n))]), so both routes give
+        the same class."""
+        ideal = self.ideal
+        if ideal.a > -self.fval:
+            ideal = form_to_ideal(self.delta_class.rep, self.fval)
+        return push_to_maximal(ideal, self.conductor)
 
-    @cached_property
+    @_lazy
     def order_order(self) -> int:
         """order_maximal times the order of delta_class^order_maximal,
         which lies in the kernel of the push to O_K, so its order divides
@@ -197,12 +224,12 @@ class Specialisation:
         return om * (self.delta_class ** om).order_dividing(
             kernel_order(self.conductor))
 
-    @cached_property
+    @_lazy
     def order_maximal(self) -> int:
         """Order of maximal_class, by baby-step giant-step."""
         return self.maximal_class.order()
 
-    @cached_property
+    @_lazy
     def h_maximal(self) -> int:
         """Class number of the maximal order.  Reading it also computes
         order_maximal: an h that the order does not divide raises
@@ -214,7 +241,7 @@ class Specialisation:
                 f"not a multiple of the class order {self.order_maximal}")
         return h
 
-    @cached_property
+    @_lazy
     def h_order(self) -> int:
         """Class number of Z[sqrt(f(n))], by the conductor formula."""
         return class_number_from_conductor(self.conductor, self.h_maximal)
@@ -602,12 +629,15 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
 
     def visit(n: int):
         """((n, order or None), hit) at n, or None where squarefree_only
-        drops n; the record of a hit is kept in hits."""
+        drops n; an imprimitive n gives (n, None) before any class is
+        built.  The record of a hit is kept in hits."""
         s = order = None
         try:
             s = specialize_form(form, curve, n, factor_bound)
             if squarefree_only and _has_square(s, fd_f):
                 return None
+            if not s.primitive:
+                return (n, None), False
             order = s.order_maximal
             hit = order >= k
         except OrderBoundError:

@@ -156,30 +156,43 @@ point = (1, 1)
 
 
 def test_scan_squarefree_only_keeps_unfactored_value(tmp_path, capsys):
-    # f(-3011) cannot be factored within a rho budget of 1: a row error,
+    # f(-4103) cannot be factored within a rho budget of 1: a row error,
     # not an abort
     cfg = write_config(tmp_path, GEN2_CONFIG)
     code, out, err = run(
         ["scan", "--config", cfg, "--squarefree-only", "--factor-bound", "1",
+         "--from", "-4103", "--to", "-4103"], capsys)
+    assert code == 0, err
+    body = [l for l in out.splitlines()[1:] if not l.startswith("#")]
+    assert len(body) == 1 and body[0].startswith("-4103,")
+    assert "FactorizationBoundError" in body[0]
+
+
+def test_scan_square_part_below_1e18_needs_no_rho(tmp_path, capsys):
+    # |f(-3011)| is about 2.5e17: after trial division to its cube root
+    # the cofactor's square part is read off by isqrt, so a rho budget of
+    # 1 still gives the row, with S = 1
+    cfg = write_config(tmp_path, GEN2_CONFIG)
+    code, out, err = run(
+        ["scan", "--config", cfg, "--factor-bound", "1",
          "--from", "-3011", "--to", "-3011"], capsys)
     assert code == 0, err
     body = [l for l in out.splitlines()[1:] if not l.startswith("#")]
-    assert len(body) == 1 and body[0].startswith("-3011,")
-    assert "FactorizationBoundError" in body[0]
+    assert body == ["-3011,-247487790009779063,1,false,,,,,,,,,"]
 
 
 def test_search_squarefree_only_skips_unfactored_value(tmp_path, capsys,
                                                        monkeypatch):
-    # the walk starts at -3008 instead of the negativity bound 0, so that
-    # it examines five values instead of 3000; the target is past
-    # ORDER_CAP, so the capped n = -3008 is not a hit
+    # the walk starts at -4100 instead of the negativity bound 0, so that
+    # it examines five values instead of 4100; the target is past
+    # ORDER_CAP, so the capped n = -4100 is not a hit
     def near_curve(f):
-        return dataclasses.replace(new_curve(f), negativity_bound=-3008)
+        return dataclasses.replace(new_curve(f), negativity_bound=-4100)
     monkeypatch.setattr(cli, "new_curve", near_curve)
     cfg = write_config(tmp_path, GEN2_CONFIG)
     code, out, err = run(
         ["search", "--config", cfg, "--squarefree-only", "--factor-bound",
-         "1", "--min-order", "10000001", "--floor", "-3012"], capsys)
+         "1", "--min-order", "10000001", "--floor", "-4104"], capsys)
     assert code == 1, err
     assert out == ""
 

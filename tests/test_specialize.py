@@ -44,6 +44,7 @@ from hyperclass.quadring import (
     conductor_data,
     extend_ideal,
     factorint,
+    form_to_ideal,
     ideal_from_generators,
     kernel_order,
     push_to_maximal,
@@ -412,9 +413,10 @@ def test_search_and_scan_drop_the_same_n():
         assert len(seen) < curve.negativity_bound - n_lo + 1
 
 
-# f(-3011) on y^2 = x^5 + x - 1 has a composite cofactor that a rho
-# budget of 1 does not split
-UNFACTORED_N = -3011
+# f(-4103) on y^2 = x^5 + x - 1 is about 1.2e18, past the 10^18 below
+# which the square part needs no rho, and no prime up to 10^6 divides it:
+# a rho budget of 1 does not split it
+UNFACTORED_N = -4103
 
 
 def test_scan_squarefree_only_keeps_unfactored_value_as_row():
@@ -426,11 +428,11 @@ def test_scan_squarefree_only_keeps_unfactored_value_as_row():
 
 def test_find_order_at_least_squarefree_only_skips_unfactored_value():
     # the walk starts just above the planted n, not at the negativity
-    # bound 0, so that it examines five values instead of 3000
-    curve = dataclasses.replace(GEN2, negativity_bound=-3008)
+    # bound 0, so that it examines five values instead of 4100
+    curve = dataclasses.replace(GEN2, negativity_bound=-4100)
     seen = {}
-    # a target past ORDER_CAP: the capped n = -3008 is not a hit
-    got = find_order_at_least(curve, Q2, ORDER_CAP + 1, -3012,
+    # a target past ORDER_CAP: the capped n = -4100 is not a hit
+    got = find_order_at_least(curve, Q2, ORDER_CAP + 1, -4104,
                               squarefree_only=True, factor_bound=1,
                               progress=seen.__setitem__)
     assert got is None
@@ -441,11 +443,12 @@ def test_unfactored_value_is_factored_once(monkeypatch):
     # the filter's refusal reaches the row and the search: conductor_data
     # caches no error, so reading S(n) again would factor f(n) again
     calls = []
+    square_factors = quadring._square_factors
 
-    def counted(n, factor_bound=FACTOR_BOUND):
+    def counted(n, factor_bound):
         calls.append(n)
-        return factorint(n, factor_bound)
-    monkeypatch.setattr(quadring, "factorint", counted)
+        return square_factors(n, factor_bound)
+    monkeypatch.setattr(quadring, "_square_factors", counted)
     curve = dataclasses.replace(GEN2, negativity_bound=UNFACTORED_N)
     for squarefree_only in (False, True):
         calls.clear()
@@ -644,6 +647,117 @@ def test_push_of_the_reduced_ideal_on_a_window():
                 assert_reduced_push_matches_raw_push(s)
                 checked += 1
         assert checked == 201
+
+
+def assert_both_pushes_agree(s):
+    # an ideal with a <= |f(n)| is pushed as it is, a longer one by the
+    # ideal of delta_class's reduced form; each route is the other's oracle
+    short = s.ideal.a <= -s.fval
+    assert s.maximal_class == push_to_maximal(s.ideal, s.conductor) \
+        == push_to_maximal(form_to_ideal(s.delta_class.rep, s.fval),
+                           s.conductor), s.n
+    return short
+
+
+def test_maximal_class_is_the_same_by_both_routes(multiples):
+    for curve, P in ((CURVE, Q), (GEN2, Q2)):
+        form = to_alt_mumford(curve, P)
+        routes = set()
+        for n in range(min(1, curve.negativity_bound), -700, -7):
+            s = specialize_form(form, curve, n)
+            if s.primitive:
+                routes.add(assert_both_pushes_agree(s))
+        assert routes == {True}
+    routes = []
+    for D in multiples[:40]:
+        form = to_alt_mumford(CURVE, D)
+        for n in MULTIPLES_NS:
+            s = specialize_form(form, CURVE, n)
+            if s.primitive:
+                routes.append(assert_both_pushes_agree(s))
+    assert len(routes) == 60 and 0 < sum(routes) < 60
+
+
+def test_maximal_class_route_at_a_of_f_n_and_just_above():
+    # the value forms [|f|, 0, 1] and [|f| + 1, 2, 1] have discriminant
+    # 4 f(n) and e = 1, so their ideals have a = |f(n)| and |f(n)| + 1
+    for curve, n in ((CURVE, -5), (CURVE, -403), (GEN2, -566),
+                     (GEN2, -4103)):
+        f = curve.f(n)
+        for a, b, short in ((-f, 0, True), (1 - f, 1, False)):
+            s = Specialisation(n=n, a_val=a, b_val=b, c_val=1, e=1, fval=f)
+            assert s.ideal.a == a
+            got = s.maximal_class
+            # only the longer ideal is reduced in Z[sqrt(f(n))] first
+            assert ("delta_class" in vars(s)) is not short, (n, a)
+            assert short is assert_both_pushes_agree(s)
+            assert got == s.maximal_class
+
+
+def test_a_search_over_short_ideals_reduces_nothing(monkeypatch):
+    def refused(I):
+        raise AssertionError("reduced in Z[sqrt(f(n))]")
+    monkeypatch.setattr(specialize, "ideal_to_class", refused)
+    # forked from the first n: the workers' calls raise in the caller
+    hit = find_order_at_least(CURVE, Q, 12000, -3000)
+    assert (hit.n, hit.order_maximal) == (-403, 13406)
+    # a target past ORDER_CAP: every n of the walk is examined
+    assert find_order_at_least(GEN2, Q2, ORDER_CAP + 1, -60) is None
+
+
+def test_a_search_builds_the_ideal_only_at_primitive_n(monkeypatch):
+    seen = []
+    delta_ideal = specialize._delta_ideal
+
+    def checked(s):
+        assert s.primitive, s.n
+        seen.append(s.n)
+        return delta_ideal(s)
+    monkeypatch.setattr(specialize, "_delta_ideal", checked)
+    for curve, P in ((CURVE, Q), (GEN2, Q2)):
+        # fewer than SCAN_FORK_MIN n, so every call is made here
+        hi = curve.negativity_bound
+        lo = hi - SCAN_FORK_MIN + 2
+        seen.clear()
+        assert find_order_at_least(curve, P, ORDER_CAP + 1, lo) is None
+        form = to_alt_mumford(curve, P)
+        want = [n for n in range(hi, lo - 1, -1)
+                if specialize_form(form, curve, n).primitive]
+        assert seen == want and len(want) < hi - lo + 1
+
+
+def test_lazy_fields_are_computed_once_and_errors_again(monkeypatch):
+    lazy = {name: attr for name, attr in vars(Specialisation).items()
+            if isinstance(attr, specialize._lazy)}
+    assert {"content", "primitive", "ideal", "conductor", "delta_class",
+            "maximal_class", "order_order", "order_maximal", "h_maximal",
+            "h_order"} == set(lazy)
+    calls = dict.fromkeys(lazy, 0)
+    for name, field in lazy.items():
+        def counted(s, method=field.method, name=name):
+            calls[name] += 1
+            return method(s)
+        monkeypatch.setattr(field, "method", counted)
+    form = to_alt_mumford(CURVE, Q)
+    s = specialize_form(form, CURVE, -5)
+    first = [getattr(s, name) for name in lazy]
+    assert [getattr(s, name) for name in lazy] == first
+    assert calls == dict.fromkeys(lazy, 1)
+    # an imprimitive n: the ideal raises on every read and is computed
+    # again each time, as functools.cached_property does
+    t = specialize_form(form, CURVE, -2)
+    for reads in (2, 3):
+        with pytest.raises(NotPrimitiveError):
+            t.ideal
+        assert calls["ideal"] == reads
+    assert "ideal" not in vars(t) and calls["content"] == 2
+    # the record stays frozen, computed or not
+    for name in ("n", "ideal", "order_maximal", "h_order"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, 1)
+    assert s.order_maximal == 6
 
 
 def test_caches_change_no_result(multiples):

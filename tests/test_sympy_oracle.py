@@ -4,6 +4,7 @@ implementation.
 sympy is a test-only dependency: without it these tests are skipped.
 """
 
+import math
 import random
 
 import pytest
@@ -118,6 +119,88 @@ def test_conductor_square_part_matches_sympy():
         cd = conductor_data(v)
         assert cd.S_factors == want, v
         assert cd.S ** 2 * cd.d == v and all(e == 1 for e in sympy.factorint(-cd.d).values())
+
+
+def test_square_parts_match_sympy(monkeypatch):
+    # square parts by trial division to B = min(10^6, icbrt|v| + 1) and
+    # isqrt of the cofactor; _split's Miller-Rabin and rho run only on a
+    # cofactor of B^3 or more, which needs |v| > 10^18
+    split = qr._split
+    splits = []
+
+    def counted(m, factor_bound, out):
+        splits.append(m)
+        return split(m, factor_bound, out)
+    monkeypatch.setattr(qr, "_split", counted)
+
+    def check(*parts):
+        # v is the product of the parts: primes the test drew, factored by
+        # construction, and small cofactors that sympy factors
+        v, factors = 1, {}
+        for part in parts:
+            v *= part
+            for p, e in sympy.factorint(part).items():
+                factors[p] = factors.get(p, 0) + e
+        want = tuple((p, e // 2) for p, e in sorted(factors.items()) if e > 1)
+        bound = min(10 ** 6, sympy.integer_nthroot(v, 3)[0] + 1)
+        rho = math.prod(p ** e for p, e in factors.items()
+                        if p > bound) >= bound ** 3
+        splits.clear()
+        assert conductor_data(-v).S_factors == want, v
+        assert qr.square_part(v) == qr.square_part(-v) == \
+            math.prod(p ** e for p, e in want), v
+        assert bool(splits) == rho, v
+        return rho
+
+    rng = random.Random(107)
+    # values on both sides of 10^18, a square planted in half of them
+    for _ in range(40):
+        v = rng.randrange(10 ** 17, 10 ** 19)
+        if rng.random() < 0.5:
+            s = rng.randrange(2, 10 ** 6)
+            v = v // (s * s) * s * s
+        assert not check(v) or v > 10 ** 18, v
+    # three primes near 10^6, so the product lies on either side of 10^18:
+    # below it no rho runs, above it a cofactor of three primes past 10^6
+    # takes the rho
+    sides = set()
+    for _ in range(30):
+        ps = [sympy.nextprime(rng.randrange(9 * 10 ** 5, 11 * 10 ** 5))
+              for _ in range(3)]
+        sides.add((math.prod(ps) > 10 ** 18, check(*ps)))
+    assert sides == {(False, False), (True, False), (True, True)}
+    # planted cofactors p^2, p*q and p with p just above the cube-root
+    # bound: each even t has no prime above t/2, below the bound, and keeps
+    # |v| under (p - 1)^3, so trial division stops short of p
+    for _ in range(30):
+        p = sympy.nextprime(rng.randrange(10 ** 3, 10 ** 6))
+        q = sympy.nextprime(p + rng.randrange(1, 100))
+        for cofactor, t in (((p, p), p - 3),
+                            ((p, q), (p * p // q - 3) & -2),
+                            ((p,), (p - 3) * (p - 1))):
+            assert p > qr.icbrt(math.prod(cofactor) * t) + 1, (p, t)
+            assert not check(*cofactor, t)
+    # p^2 with p > 10^6 past 10^18: the cofactor p^2 * q takes the rho, and
+    # p^2 alone is found by _split's isqrt
+    for _ in range(10):
+        p = sympy.nextprime(rng.randrange(10 ** 6, 10 ** 7))
+        q = sympy.nextprime(rng.randrange(10 ** 6, 10 ** 7))
+        t = rng.randrange(1, 10 ** 3)
+        assert check(p, p, q, t)
+        r = sympy.nextprime(rng.randrange(10 ** 9, 10 ** 10))
+        assert check(r, r, t)
+
+
+def test_integer_cube_root_matches_sympy():
+    rng = random.Random(109)
+    ks = list(range(1, 200)) + [rng.randrange(1, 10 ** rng.randrange(2, 41))
+                                for _ in range(300)] + [10 ** 40]
+    assert qr.icbrt(0) == 0
+    for k in ks:
+        for n, want in ((k ** 3 - 1, k - 1), (k ** 3, k), (k ** 3 + 1, k)):
+            assert qr.icbrt(n) == want == sympy.integer_nthroot(n, 3)[0], n
+    with pytest.raises(ValueError):
+        qr.icbrt(-1)
 
 
 def test_legendre_matches_sympy():
