@@ -160,8 +160,8 @@ def primes_up_to(limit: int) -> list[int]:
 # values |n^3 - 4| and the genus-2 values |n^5 + n - 1|, blocks of 64, 256
 # and 512 primes were each slower than 128 on some set.  The products are
 # kept with the sieve list they were taken from and are built afresh when
-# the sieve is, only as far as a call's walk reaches: to 10^6 they take
-# about 0.2 MB.
+# the sieve is, only as far as a call's walk reaches.  Every walk stops at
+# _TRIAL_CEILING = 10^6, so there are at most 614 of them, about 0.2 MB.
 _PRIME_BLOCK = 128
 _BLOCKS_OF: list[int] = []
 _BLOCK_PRODUCTS: list[int] = []
@@ -277,7 +277,8 @@ def _brent_rho(n: int, max_iters: int) -> int | None:
 # below its square that no prime up to there divides is a prime without
 # a primality test.  Past it only a composite with two or more primes
 # above the ceiling reaches the rho and its FACTOR_BOUND budget.  The
-# square part's trial division stops at the same ceiling, or sooner.
+# square part's trial division, for values and class-number
+# discriminants alike, stops at the same ceiling, or sooner.
 _TRIAL_CEILING = 10 ** 6
 
 
@@ -950,14 +951,13 @@ def class_number_disc(disc: int) -> int:
     """Number of classes of primitive positive-definite forms of disc < 0.
 
     With disc = f^2 * d0 and d0 fundamental, h(disc) = h(d0) times the
-    kernel factor of the conductor f (the formula of kernel_order).  Since
-    |d0| >= 3, every prime of f is at most sqrt(-disc/3), so the block
-    gcds of _trial_division with the primes up to there find f: nothing
-    is factored, and no FactorizationBoundError can arise.  h(d0) is
-    counted over the first coefficient a by _count_reduced_forms, in
-    O(|disc|^(1/2 + eps)) time and O(|disc|^(1/2)) memory.
-    ClassNumberBoundError when |disc| > DISC_CAP, before anything is
-    sieved.
+    kernel factor of the conductor f (the formula of kernel_order).  F, the
+    square part of |disc| from _square_factors, gives d = disc/F^2, and
+    d0, f = d, F when d = 1 mod 4, else 4d, F/2: below DISC_CAP < 10^18
+    no rho runs, so no FactorizationBoundError arises.  h(d0) is counted
+    by _count_reduced_forms in O(|d0|^(1/2 + eps)) time and O(|d0|^(1/2))
+    memory.  ClassNumberBoundError when |disc| > DISC_CAP, before
+    anything is sieved.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"{disc} is not a negative discriminant")
@@ -965,17 +965,13 @@ def class_number_disc(disc: int) -> int:
         raise ClassNumberBoundError(
             f"a discriminant of {(-disc).bit_length()} bits is past the "
             f"class-number cap |disc| <= {DISC_CAP}")
-    d0, f, f_primes = disc, 1, []
-    # a prime that _trial_division leaves in its cofactor divides disc
-    # once, so it is not a prime of f
-    for p in _trial_division(-disc, isqrt(-disc // 3))[0]:
-        pp, f_before = p * p, f
-        # for p = 2, d0/4 must stay a discriminant: d0/4 = 0, 1 mod 4
-        while d0 % pp == 0 and (p > 2 or d0 // 4 % 4 < 2):
-            d0, f = d0 // pp, f * p
-        if f != f_before:
-            f_primes.append(p)
-    return _count_reduced_forms(d0) * _kernel_factor(d0, f, f_primes)
+    F_factors = _square_factors(disc, FACTOR_BOUND)
+    F = prod(p ** e for p, e in F_factors)
+    d0, f = disc // (F * F), F
+    if d0 % 4 != 1:
+        d0, f = 4 * d0, F // 2
+    return _count_reduced_forms(d0) * _kernel_factor(
+        d0, f, [p for p, _ in F_factors if f % p == 0])
 
 
 # _INC[v] = v + 1 for v >= 1, and 0 stays 0: one more split prime of a

@@ -1043,6 +1043,26 @@ def test_class_number_past_the_cap_is_refused(monkeypatch):
         class_number_disc(-4 * 10 ** 30)
 
 
+def test_class_number_walks_only_to_its_fundamental_part(monkeypatch):
+    # -7*10^16 = (10^8)^2 * -7: the conductor comes from the square part,
+    # so no sieve passes the trial ceiling (a walk to sqrt(7*10^16/3)
+    # would ask for 152,752,523)
+    sieve = qr._sieve
+
+    def capped(limit):
+        assert limit <= qr._TRIAL_CEILING, limit
+        return sieve(limit)
+    monkeypatch.setattr(qr, "_sieve", capped)
+    assert class_number_disc(-7 * 10 ** 16) == 60000000
+    # with the count stubbed, splitting -4*(10^13 + 37) builds at most the
+    # block products of the primes to 10^6, 614 blocks of 128
+    monkeypatch.setattr(qr, "_count_reduced_forms", lambda disc: 1)
+    monkeypatch.setattr(qr, "_BLOCKS_OF", [])
+    monkeypatch.setattr(qr, "_BLOCK_PRODUCTS", [])
+    class_number_disc(-4 * (10 ** 13 + 37))
+    assert 0 < len(qr._BLOCK_PRODUCTS) <= 614
+
+
 def test_class_number_disc_needs_no_numpy(monkeypatch):
     # with numpy blocked, any import of it raises ImportError
     monkeypatch.setitem(sys.modules, "numpy", None)

@@ -618,11 +618,14 @@ def test_direct_ideal_on_large_multiples(multiples):
     assert v.a_val.bit_length() > 8000
 
 
-def assert_reduced_push_matches_raw_push(s):
-    # maximal_class pushes the ideal of the reduced form; the push of the
-    # ideal itself is the oracle
-    assert s.maximal_class == push_to_maximal(s.ideal, s.conductor), \
-        s.n
+def assert_both_pushes_agree(s):
+    # an ideal with a <= |f(n)| is pushed as it is, a longer one by the
+    # ideal of delta_class's reduced form; each route is the other's oracle
+    short = s.ideal.a <= -s.fval
+    assert s.maximal_class == push_to_maximal(s.ideal, s.conductor) \
+        == push_to_maximal(form_to_ideal(s.delta_class.rep, s.fval),
+                           s.conductor), s.n
+    return short
 
 
 def test_push_of_the_reduced_ideal_on_large_multiples(multiples):
@@ -632,7 +635,7 @@ def test_push_of_the_reduced_ideal_on_large_multiples(multiples):
         for n in MULTIPLES_NS:
             s = specialize_form(form, CURVE, n)
             if s.primitive:
-                assert_reduced_push_matches_raw_push(s)
+                assert_both_pushes_agree(s)
                 checked += 1
     assert checked == 168
 
@@ -644,19 +647,9 @@ def test_push_of_the_reduced_ideal_on_a_window():
         for n in range(min(1, curve.negativity_bound), -401, -1):
             s = specialize_form(form, curve, n)
             if s.primitive:
-                assert_reduced_push_matches_raw_push(s)
+                assert_both_pushes_agree(s)
                 checked += 1
         assert checked == 201
-
-
-def assert_both_pushes_agree(s):
-    # an ideal with a <= |f(n)| is pushed as it is, a longer one by the
-    # ideal of delta_class's reduced form; each route is the other's oracle
-    short = s.ideal.a <= -s.fval
-    assert s.maximal_class == push_to_maximal(s.ideal, s.conductor) \
-        == push_to_maximal(form_to_ideal(s.delta_class.rep, s.fval),
-                           s.conductor), s.n
-    return short
 
 
 def test_maximal_class_is_the_same_by_both_routes(multiples):

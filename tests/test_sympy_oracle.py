@@ -203,6 +203,75 @@ def test_integer_cube_root_matches_sympy():
         qr.icbrt(-1)
 
 
+def test_class_number_split_matches_sympy(monkeypatch):
+    # class_number_disc splits disc = f^2 * d0 by the square part of |disc|;
+    # below DISC_CAP < 10^18 that needs neither Miller-Rabin nor the rho
+    assert qr.DISC_CAP < qr._TRIAL_CEILING ** 3
+    counted, kernels = [], []
+    monkeypatch.setattr(qr, "_count_reduced_forms",
+                        lambda disc: counted.append(disc) or 1)
+    kernel_factor = qr._kernel_factor
+
+    def recorded(disc_max, m, primes):
+        # the primes of f exactly: an extra 2 would not change the value
+        # when it ramifies, so only the record shows it
+        kernels.append((disc_max, m, sorted(primes)))
+        return kernel_factor(disc_max, m, primes)
+    monkeypatch.setattr(qr, "_kernel_factor", recorded)
+
+    def no_split(m, factor_bound, out):
+        raise AssertionError(f"rho on {m}")
+    monkeypatch.setattr(qr, "_split", no_split)
+
+    def check(disc):
+        # d0 from the square-free kernel of |disc| by sympy's factorint
+        core = -math.prod(p for p, e in sympy.factorint(-disc).items()
+                          if e % 2)
+        d0 = core if core % 4 == 1 else 4 * core
+        f = math.isqrt(disc // d0)
+        assert f * f * d0 == disc, disc
+        counted.clear()
+        kernels.clear()
+        got = qr.class_number_disc(disc)
+        assert counted == [d0], disc
+        assert kernels == [(d0, f, sorted(sympy.factorint(f)))], disc
+        assert got == kernel_factor(d0, f, sympy.factorint(f)), disc
+        return d0, f
+
+    for disc, want in ((-3, (-3, 1)), (-4, (-4, 1)), (-8, (-8, 1)),
+                       (-12, (-3, 2)), (-16, (-4, 2)), (-32, (-8, 2))):
+        assert check(disc) == want
+
+    def squarefree(n):
+        return all(e == 1 for e in sympy.factorint(n).values())
+
+    # planted fundamental d0 of each 2-adic kind: 1 mod 4, and 4m with
+    # m = 2 or 3 mod 4, times f^2 with f a power of 2 times odd primes to
+    # the first, second or third power, in bands of |disc| up to DISC_CAP
+    rng = random.Random(113)
+    kinds = set()
+    for case in range(90):
+        r = (1, 2, 3)[case % 3]
+        f = 0
+        while not 0 < f <= 10 ** 7:
+            f = 2 ** rng.randrange(4) * math.prod(
+                sympy.prime(rng.randrange(2, 40)) ** rng.randrange(1, 4)
+                for _ in range(rng.randrange(3)))
+        top = max(8, qr.DISC_CAP // (4 * f * f) // 10 ** rng.randrange(14))
+        k = 0
+        while not (k > 0 and squarefree(k)):
+            k = rng.randrange(1, top)
+            k -= (k + r) % 4
+        # d = -k = r mod 4 is square-free
+        d0 = -k if r == 1 else -4 * k
+        disc = f * f * d0
+        assert -disc <= qr.DISC_CAP
+        assert check(disc) == (d0, f), disc
+        kinds.add((r, f % 2))
+    assert kinds == {(r, p) for r in (1, 2, 3) for p in (0, 1)}
+    check(-qr.DISC_CAP)
+
+
 def test_legendre_matches_sympy():
     # every prime below 100 against every discriminant in [-1000, -3]
     for p in primes_up_to(99):
