@@ -28,7 +28,10 @@ hit.  Both walk n through _walk(), which forks by one rule: a walk of
 SCAN_FORK_MIN n or more forks a worker per usable CPU past the first,
 every process takes blocks of n in turn, each worker streams every block
 it walks, and the caller replays the blocks in descending n, so the rows,
-the hit and any error are the serial walk's.
+the hit and any error are the serial walk's.  Each process of a forked
+walk runs on its own CPU of the caller's affinity set, since a kernel
+that does not balance load leaves a forked child on its parent's CPU;
+the caller's set is restored when the walk ends.
 """
 
 from __future__ import annotations
@@ -347,12 +350,13 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
 
 # A range of fewer n than this is walked in one process: forking a worker
 # and collecting it take a few ms.  Timed from the negativity bound, where
-# rows are cheapest, on 2 CPUs (medians of 9 fresh processes), the genus-2
-# scan with class numbers broke even between 32 n (8.3 ms serial, 9.1
-# forked) and 48 n (22.6 and 20.9); without class numbers a fork costs up
-# to about 3 ms until 128 to 192 n.  A search's range forks by the same
-# rule, so a search whose hit lies among its first n forks too when its
-# range reaches this many n.
+# rows are cheapest, on 2 CPUs with each process on its own (medians of 9
+# fresh processes), the genus-2 scan with class numbers broke even at 48 n
+# (19.1 ms serial, 18.6 forked), after 32 n (6.5 and 9.7) and before 64 n
+# (51.2 and 37.0); the genus-1 scan without class numbers loses up to
+# about 4.5 ms to a fork until 192 n (12.4 and 12.4).  A search's range
+# forks by the same rule, so a search whose hit lies among its first n
+# forks too when its range reaches this many n.
 SCAN_FORK_MIN = 48
 # The processes of a forked walk, a scan's or a search's, take blocks of
 # this many consecutive n in turn, forward in one round and backward in the
@@ -422,8 +426,20 @@ def _block(visit, hi: int, lo: int, b: int) -> tuple:
     return items, False, None
 
 
-def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int) -> None:
-    """In forked worker w: walk w's blocks and send each through fd as one
+def _pin(cpu_set) -> None:
+    """Run this process on the CPUs in cpu_set only, where the platform
+    lets it: placement changes no result, so a refusal leaves it
+    unpinned."""
+    try:
+        os.sched_setaffinity(0, cpu_set)
+    except OSError:
+        pass
+
+
+def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int,
+          cpus: list | None) -> None:
+    """In forked worker w: run on CPU w of cpus, counted round the list,
+    when cpus is not None; walk w's blocks and send each through fd as one
     message, the length of its data in 4 bytes and then, marshalled, the
     block's items, whether it stopped, and None or the exception that ended
     it, pickled (a RuntimeError naming one that does not survive pickling).
@@ -431,6 +447,8 @@ def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int) -> None:
     no finally block or buffered output of the caller's stack runs twice."""
     code = 1
     try:
+        if cpus is not None:
+            _pin({cpus[w % len(cpus)]})
         with open(fd, "wb") as pipe:
             for b in _blocks(w, hi, lo, processes):
                 try:
@@ -490,19 +508,33 @@ def _walk(kind: str, visit, take, hi: int, lo: int):
     Exception that ends a block is raised after the items before it, and
     only when its block is replayed.  A worker that dies before its next
     block is named as a kind worker.  Every worker is killed and reaped
-    before this returns or raises."""
+    before this returns or raises.
+
+    Where the platform has os.sched_setaffinity, this process runs on the
+    lowest CPU of its affinity set for the walk, and worker w on the w-th
+    after it in ascending order, counted round the set: a kernel that does
+    not balance load, as in a cpuset whose sched_load_balance is 0, never
+    moves a forked child off its parent's CPU, so unpinned processes
+    would share one.  A process whose pin is refused runs where it is,
+    and the set is restored after the reap, however the walk ends."""
     count = hi - lo + 1
     processes = _processes(count)
     pids, pipes, ahead = [], [], {}
     mine, halted = _blocks(0, hi, lo, processes), False
+    saved = cpus = None
+    if processes > 1 and hasattr(os, "sched_setaffinity"):
+        saved = os.sched_getaffinity(0)
+        cpus = sorted(saved)
     try:
+        if cpus is not None:
+            _pin({cpus[0]})
         for w in range(1, processes):
             r, fd = os.pipe()
             pipes.append((r, bytearray()))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(w, fd, visit, hi, lo, processes)
+                    _work(w, fd, visit, hi, lo, processes, cpus)
             finally:
                 os.close(fd)
             pids.append(pid)
@@ -554,6 +586,8 @@ def _walk(kind: str, visit, take, hi: int, lo: int):
             os.close(r)
         for pid in pids:
             os.waitpid(pid, 0)
+        if saved is not None:
+            _pin(saved)
 
 
 def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
@@ -570,13 +604,15 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     A range of SCAN_FORK_MIN n or more is walked by the CPUs this process
     may use, as _walk shares it: one forked worker per CPU beyond the
     first, each streaming its blocks of n, and this process replaying
-    them in n order.  The rows, and so the CLI's bytes, do not depend on
-    the number of CPUs, and an exception raised by a row is the serial
-    scan's, that of the first failing n.  Each worker holds its own copy
-    of the process's memory as it writes to it, and its own caches and
-    prime sieve.  The scan stays in this process when os.fork is missing,
-    when another thread is running (a fork copies only the calling
-    thread), or when one CPU is usable.  A worker that dies without
+    them in n order.  Each process runs on its own CPU of this process's
+    affinity set, which is restored when the scan ends.  The rows, and so
+    the CLI's bytes, do not depend on the number or placement of CPUs,
+    and an exception raised by a row is the serial scan's, that of the
+    first failing n.  Each worker holds its own copy of the process's
+    memory as it writes to it, and its own caches and prime sieve.  The
+    scan stays in this process when os.fork is missing, when another
+    thread is running (a fork copies only the calling thread), or when
+    one CPU is usable.  A worker that dies without
     sending its rows raises RuntimeError, and no worker outlives the call.
     """
     if n_hi > curve.negativity_bound:
@@ -614,12 +650,13 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     given, is called with (n, order or None) for every examined n, in
     descending n, in this process.
 
-    The walk is shared as a scan's is, by the same rule, and stops at the
-    first hit: the workers are killed, and what any process walked past
-    the hit is wasted.  The hit, the progress calls and any exception are
-    the serial walk's, whatever the number of CPUs; a hit that a worker
-    found is specialised again here, and its order read, before the
-    record is returned.  No worker outlives the call.
+    The walk is shared as a scan's is, by the same rule and with each
+    process on its own CPU, and stops at the first hit: the workers are
+    killed, this process's affinity set is restored, and what any process
+    walked past the hit is wasted.  The hit, the progress calls and any
+    exception are the serial walk's, whatever the number of CPUs; a hit
+    that a worker found is specialised again here, and its order read,
+    before the record is returned.  No worker outlives the call.
     """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")

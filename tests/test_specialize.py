@@ -930,13 +930,15 @@ def test_content_is_computed_once_per_record(monkeypatch):
 
 
 def cpus(monkeypatch, count):
-    """Make scan see count usable CPUs, and count its forks."""
+    """Make scan see count usable CPUs, and list the pids of its forks,
+    worker 1's first."""
     forks = []
     fork = os.fork
 
     def counted():
-        forks.append(1)
-        return fork()
+        pid = fork()
+        forks.append(pid)
+        return pid
     monkeypatch.setattr(specialize, "_usable_cpus", lambda: count)
     monkeypatch.setattr(os, "fork", counted)
     return forks
@@ -1102,9 +1104,93 @@ def test_a_failing_caller_kills_and_reaps_its_workers(monkeypatch):
     assert no_worker_left()
 
 
+# (walk, the n of a hit in a worker's block, whether the caller is
+# interrupted at its first n); -403 is worker 1's at 2 and at 3 processes
+PLACEMENT_CASES = {
+    "scan": (lambda: scan(CURVE, Q, -60, 1), None, False),
+    "worker-hit": (lambda: find_order_at_least(CURVE, Q, 12000, -3000),
+                   -403, False),
+    "miss": (lambda: find_order_at_least(CURVE, Q, 10**9, -300), None,
+             False),
+    "interrupt": (lambda: scan(CURVE, Q, -60, 1), None, True),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity calls on this platform")
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("case", sorted(PLACEMENT_CASES))
+def test_each_process_of_a_forked_walk_runs_on_its_own_cpu(
+        monkeypatch, tmp_path, case, count):
+    walk, hit, interrupt = PLACEMENT_CASES[case]
+    before = os.sched_getaffinity(0)
+    on = sorted(before)
+    caller = os.getpid()
+    log = tmp_path / "placement"
+    specialise = specialize.specialize_form
+
+    def planted(form, curve, n, *args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {n} "
+                    f"{' '.join(map(str, os.sched_getaffinity(0)))}\n")
+        if interrupt and os.getpid() == caller:
+            raise KeyboardInterrupt
+        return specialise(form, curve, n, *args)
+    monkeypatch.setattr(specialize, "specialize_form", planted)
+    forks = cpus(monkeypatch, count)
+    if interrupt:
+        with pytest.raises(KeyboardInterrupt):
+            walk()
+    else:
+        got = walk()
+        assert hit is None or got.n == hit
+    after = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, before)   # a failure here leaves no pin behind
+    assert after == before
+    assert len(forks) == count - 1
+    assert no_worker_left()
+    # worker w on the w-th CPU of the caller's set, counted round it
+    where = {caller: on[0]}
+    where.update((pid, on[w % len(on)]) for w, pid in enumerate(forks, 1))
+    ran = {}
+    for line in log.read_text().splitlines():
+        pid, n, *cpu_set = map(int, line.split())
+        ran.setdefault(pid, []).append((n, set(cpu_set)))
+    assert set(ran) <= set(where)
+    if not interrupt:
+        assert set(ran) == set(where)
+    for pid, visits in ran.items():
+        for n, cpu_set in visits:
+            # a worker's hit is specialised again after the walk
+            assert cpu_set == (before if pid == caller and n == hit
+                               else {where[pid]})
+    if hit is not None:
+        assert (hit, before) in ran[caller]
+
+
+@pytest.mark.parametrize("how", ["refused", "missing"])
+def test_a_forked_scan_runs_where_placement_fails(monkeypatch, how):
+    cpus(monkeypatch, 1)
+    serial = scan(CURVE, Q, -60, 1)
+    calls = []
+    if how == "refused":
+        def refused(pid, cpu_set):
+            calls.append(os.getpid())
+            raise OSError("planted")
+        monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    forks = cpus(monkeypatch, 2)
+    assert scan(CURVE, Q, -60, 1) == serial
+    assert len(forks) == 1
+    assert no_worker_left()
+    # the caller is refused its pin and then its restore
+    assert calls == ([os.getpid()] * 2 if how == "refused" else [])
+
+
 def owner(n, processes):
     """The process whose block holds n in a search of CURVE."""
-    block = (CURVE.negativity_bound - SCAN_FORK_MIN - n) // 2
+    block = (CURVE.negativity_bound - n) // specialize._SCAN_BLOCK
     return specialize._owner(block, processes)
 
 
