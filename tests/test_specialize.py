@@ -1175,7 +1175,7 @@ def test_a_forked_scan_runs_where_placement_fails(monkeypatch, how):
     calls = []
     if how == "refused":
         def refused(pid, cpu_set):
-            calls.append(os.getpid())
+            calls.append((os.getpid(), pid))
             raise OSError("planted")
         monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
     else:
@@ -1184,8 +1184,10 @@ def test_a_forked_scan_runs_where_placement_fails(monkeypatch, how):
     assert scan(CURVE, Q, -60, 1) == serial
     assert len(forks) == 1
     assert no_worker_left()
-    # the caller is refused its pin and then its restore
-    assert calls == ([os.getpid()] * 2 if how == "refused" else [])
+    # the caller is refused its pin, the worker's and then its restore
+    me = os.getpid()
+    assert calls == ([(me, 0), (me, forks[0]), (me, 0)] if how == "refused"
+                     else [])
 
 
 def owner(n, processes):
