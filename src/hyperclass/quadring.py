@@ -951,11 +951,12 @@ def class_number_disc(disc: int) -> int:
     """Number of classes of primitive positive-definite forms of disc < 0.
 
     With disc = f^2 * d0 and d0 fundamental, h(disc) = h(d0) times the
-    kernel factor of the conductor f (the formula of kernel_order).  F, the
-    square part of |disc| from _square_factors, gives d = disc/F^2, and
-    d0, f = d, F when d = 1 mod 4, else 4d, F/2: below DISC_CAP < 10^18
-    no rho runs, so no FactorizationBoundError arises.  h(d0) is counted
-    by _count_reduced_forms in O(|d0|^(1/2 + eps)) time and O(|d0|^(1/2))
+    kernel factor of the conductor f (the formula of kernel_order).  The
+    split is conductor_data's, of the value v with disc = 4v, or of
+    v = disc when disc is odd, where the order of disc has conductor S,
+    half that of Z[sqrt(v)]: below DISC_CAP < 10^18 no rho runs, so no
+    FactorizationBoundError arises.  h(d0) is counted by
+    _count_reduced_forms in O(|d0|^(1/2 + eps)) time and O(|d0|^(1/2))
     memory.  ClassNumberBoundError when |disc| > DISC_CAP, before
     anything is sieved.
     """
@@ -965,13 +966,11 @@ def class_number_disc(disc: int) -> int:
         raise ClassNumberBoundError(
             f"a discriminant of {(-disc).bit_length()} bits is past the "
             f"class-number cap |disc| <= {DISC_CAP}")
-    F_factors = _square_factors(disc, FACTOR_BOUND)
-    F = prod(p ** e for p, e in F_factors)
-    d0, f = disc // (F * F), F
-    if d0 % 4 != 1:
-        d0, f = 4 * d0, F // 2
-    return _count_reduced_forms(d0) * _kernel_factor(
-        d0, f, [p for p, _ in F_factors if f % p == 0])
+    odd = disc % 2
+    cd = conductor_data(disc if odd else disc // 4)
+    f = cd.S if odd else cd.conductor
+    return _count_reduced_forms(cd.disc_max) * _kernel_factor(
+        cd.disc_max, f, [p for p in {2, *dict(cd.S_factors)} if f % p == 0])
 
 
 # _INC[v] = v + 1 for v >= 1, and 0 stays 0: one more split prime of a

@@ -26,12 +26,13 @@ both Picard groups, and never aborts on a per-value error: failures are
 data.  The order-chasing search find_order_at_least() stops at its first
 hit.  Both walk n through _walk(), which forks by one rule: a walk of
 SCAN_FORK_MIN n or more forks a worker per usable CPU past the first,
-every process takes blocks of n in turn, each worker streams every block
-it walks, and the caller replays the blocks in descending n, so the rows,
-the hit and any error are the serial walk's.  Each process of a forked
-walk runs on its own CPU of the caller's affinity set, since a kernel
-that does not balance load leaves a forked child on its parent's CPU;
-the caller's set is restored when the walk ends.
+every process claims the next block of n whenever it has walked its
+last, each worker streams every block it walks, and the caller replays
+the blocks in descending n, so the rows, the hit and any error are the
+serial walk's.  Each process of a forked walk runs on its own CPU of the
+caller's affinity set, since a kernel that does not balance load leaves
+a forked child on its parent's CPU; the caller's set is restored when
+the walk ends.
 """
 
 from __future__ import annotations
@@ -350,23 +351,27 @@ def _scan_row(curve: OddHyperellipticCurve, form: AltMumfordForm,
 
 # A range of fewer n than this is walked in one process: forking a worker
 # and collecting it take a few ms.  Timed from the negativity bound, where
-# rows are cheapest, on 2 CPUs with each process on its own (medians of 9
-# fresh processes), the genus-2 scan with class numbers broke even at 48 n
-# (19.1 ms serial, 18.6 forked), after 32 n (6.5 and 9.7) and before 64 n
-# (51.2 and 37.0); the genus-1 scan without class numbers loses up to
-# about 4.5 ms to a fork until 192 n (12.4 and 12.4).  A search's range
-# forks by the same rule, so a search whose hit lies among its first n
-# forks too when its range reaches this many n.
+# rows are cheapest, on 2 CPUs with each process on its own and blocks
+# claimed on demand (medians of 9 fresh processes), the genus-2 scan with
+# class numbers broke even near 32 n (12.3 ms serial, 13.0 forked) and
+# gained at 48 n (35.5 and 25.7) and 64 n (87.1 and 57.5); the genus-1
+# scan without class numbers lost 4.3, 3.3 and 3.1 ms to a fork at 32, 48
+# and 64 n (2.5 and 6.8, 4.4 and 7.7, 5.7 and 8.8), and about 0.5 ms at
+# 192 n (22.8 and 23.3).  A search's range forks by the same rule, so a
+# search whose hit lies among its first n forks too when its range
+# reaches this many n.
 SCAN_FORK_MIN = 48
-# The processes of a forked walk, a scan's or a search's, take blocks of
-# this many consecutive n in turn, forward in one round and backward in the
-# next (0, 1, 1, 0, 0, 1, ... for two), so that each meets every residue of
-# n mod 4: the example curves' classes are undefined at one parity of n,
-# and on the genus-2 class-number scan over [-60, 0] h costs twice as much
-# at n = 0 mod 4 as at 2 mod 4.  There the costlier of two processes took
-# 1.37 times its even part of the work with forward turns only, and 1.06
-# times with alternating turns.  A worker sends each block as one message
-# as soon as it is walked.
+# The processes of a forked walk, a scan's or a search's, claim blocks of
+# this many consecutive n, each the next one not yet claimed, whenever
+# they have walked their last.  A worker sends each block as one message
+# as soon as it is walked.  Blocks of 1, 2 and 4 n walked alike (medians
+# of 15 fresh walks on 2 CPUs, each process on its own: 35.0, 34.7 and
+# 35.9 ms on the genus-2 class-number scan over [-60, 0], 27.2, 26.8 and
+# 26.1 ms on the genus-1 scan over [-400, 1], 20.0, 20.3 and 19.8 ms on
+# the genus-1 search to its hit at n = -403).  Two n take half the claims
+# and messages of one, a last block costs half of four, and every block
+# holds both parities of n, whose rows cost differently on the example
+# curves.
 _SCAN_BLOCK = 2
 
 _row_values = attrgetter(*ROW_FIELDS)
@@ -391,23 +396,6 @@ def _processes(count: int) -> int:
     return min(_usable_cpus(), -(-count // _SCAN_BLOCK))
 
 
-def _owner(block: int, processes: int) -> int:
-    """The process that takes the block-th block: 0 is the caller, and the
-    turns go forward in even rounds and backward in odd ones."""
-    rnd, turn = divmod(block, processes)
-    return processes - 1 - turn if rnd % 2 else turn
-
-
-def _blocks(w: int, hi: int, lo: int, processes: int):
-    """The indices of the blocks of n from hi down to lo that process w
-    takes, in ascending order, each found only when it is asked for."""
-    b = w
-    while hi - b * _SCAN_BLOCK >= lo:
-        if _owner(b, processes) == w:
-            yield b
-        b += 1
-
-
 def _block(visit, hi: int, lo: int, b: int) -> tuple:
     """Walk the b-th block of n from hi down to lo: (items, stop, failure),
     the items of the visits of its n up to the first that stops, whether
@@ -426,6 +414,17 @@ def _block(visit, hi: int, lo: int, b: int) -> tuple:
     return items, False, None
 
 
+def _claim(token: tuple, hi: int, lo: int) -> int | None:
+    """Claim the next block of n from hi down to lo: read its index, 8
+    bytes, from the token pipe, a (read end, write end) pair whose read end
+    does not block, and write back the index after it, so that the reader
+    has the token to itself in between.  The index, or None once its block
+    is past lo; BlockingIOError while another process has the token."""
+    b = int.from_bytes(os.read(token[0], 8), "little")
+    os.write(token[1], (b + 1).to_bytes(8, "little"))
+    return b if hi - b * _SCAN_BLOCK >= lo else None
+
+
 def _pin(pid: int, cpu_set) -> None:
     """Run process pid, 0 for this one, on the CPUs in cpu_set only, where
     the platform lets it: placement changes no result, so a refusal leaves
@@ -436,21 +435,34 @@ def _pin(pid: int, cpu_set) -> None:
         pass
 
 
-def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int,
-          cpus: list | None) -> None:
-    """In forked worker w: run on CPU w of cpus, counted round the list,
-    when cpus is not None; walk w's blocks and send each through fd as one
+def _work(w: int, fd: int, token: tuple, visit, hi: int, lo: int,
+          cpus: list | None, inherited: tuple) -> None:
+    """In forked worker w: close the read ends in inherited, so that a
+    write fails once the caller is gone; run on CPU w of cpus, counted
+    round the list, when cpus is not None; claim blocks through token,
+    waiting for it in select, walk each and send it through fd as one
     message, the length of its data in 4 bytes and then, marshalled, the
-    block's items, whether it stopped, and None or the exception that ended
-    it, pickled (a RuntimeError naming one that does not survive pickling).
-    After a block that stops or fails, or the last, exit at once, so that
-    no finally block or buffered output of the caller's stack runs twice."""
+    block's index, its items, whether it stopped, and None or the exception
+    that ended it, pickled (a RuntimeError naming one that does not survive
+    pickling).  After a block that stops or fails, or once a claim is None,
+    exit at once, so that no finally block or buffered output of the
+    caller's stack runs twice."""
     code = 1
     try:
+        for r in inherited:
+            os.close(r)
         if cpus is not None:
             _pin(0, {cpus[w % len(cpus)]})
+        from select import select
         with open(fd, "wb") as pipe:
-            for b in _blocks(w, hi, lo, processes):
+            while True:
+                try:
+                    b = _claim(token, hi, lo)
+                except BlockingIOError:
+                    select([token[0]], [], [])
+                    continue
+                if b is None:
+                    break
                 try:
                     items, stop, exc = _block(visit, hi, lo, b)
                 except BaseException as interrupt:
@@ -464,7 +476,7 @@ def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int,
                     except Exception:
                         failure = pickle.dumps(RuntimeError(
                             f"{type(exc).__name__}: {exc}"))
-                data = marshal.dumps((items, stop, failure))
+                data = marshal.dumps((b, items, stop, failure))
                 pipe.write(len(data).to_bytes(4, "little") + data)
                 pipe.flush()
                 if stop or failure is not None:
@@ -474,24 +486,32 @@ def _work(w: int, fd: int, visit, hi: int, lo: int, processes: int,
         os._exit(code)
 
 
-def _message(pipe: tuple, wait: bool) -> bytes | None:
-    """The data of the next message from a worker's pipe, a (read end,
-    buffer) pair: None if wait is false and it has not all arrived, b""
-    if the worker is gone first."""
-    fd, buf = pipe
-    while len(buf) < 4 or len(buf) < 4 + int.from_bytes(buf[:4], "little"):
-        os.set_blocking(fd, wait)
-        try:
-            chunk = os.read(fd, 1 << 16)
-        except BlockingIOError:
-            return None
-        if not chunk:
-            return b""
-        buf += chunk
-    end = 4 + int.from_bytes(buf[:4], "little")
-    data = bytes(buf[4:end])
-    del buf[:end]
-    return data
+def _receive(r: int, buf: bytearray, ahead: dict) -> bool:
+    """Read what has arrived through a worker's pipe, whose read end r does
+    not block, into its buffer buf, and move each whole message into ahead
+    under its block's index: False once the worker has closed the pipe."""
+    chunk = os.read(r, 1 << 16)
+    buf += chunk
+    while len(buf) >= 4:
+        end = 4 + int.from_bytes(buf[:4], "little")
+        if len(buf) < end:
+            break
+        b, *walked = marshal.loads(bytes(buf[4:end]))
+        ahead[b] = walked
+        del buf[:end]
+    return bool(chunk)
+
+
+def _reap(kind: str, pid: int) -> None:
+    """Reap the kind worker pid, whose pipe has closed: RuntimeError
+    naming it unless it exited with status 0, as it does once it has sent
+    every block it claimed."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        ended = (f"was killed by signal {-code}" if code < 0
+                 else f"exited with status {code}")
+        raise RuntimeError(
+            f"{kind} worker {pid} {ended} without sending its rows")
 
 
 def _walk(kind: str, visit, take, hi: int, lo: int):
@@ -500,15 +520,20 @@ def _walk(kind: str, visit, take, hi: int, lo: int):
     return the item that stops the walk, or None.
 
     The n go in blocks of _SCAN_BLOCK to this process and the workers that
-    _processes allows, forked at the start, in _owner's turns.  A worker
-    walks its blocks ahead and streams each; this process replays every
-    block in n order, and while a worker's next block has not arrived it
-    walks its own next blocks ahead, up to one that stops or fails.  So the
-    items, the stop and the error raised are the serial walk's: the
-    Exception that ends a block is raised after the items before it, and
-    only when its block is replayed.  A worker that dies before its next
-    block is named as a kind worker.  Every worker is killed and reaped
-    before this returns or raises.
+    _processes allows, forked at the start.  Each process claims the next
+    block not yet claimed whenever it has walked its last, through a token
+    pipe that holds the next block's index, so none idles before every
+    block is claimed.  A worker streams each block it walks, with its index,
+    and stops after one that stops or fails.  This process replays every
+    block in n order; while the next has not arrived, it claims and walks
+    one itself, up to one of its own that stops or fails, and then waits in
+    select for the token or a worker's message.  So the items, the stop
+    and the error raised are the serial walk's: the Exception that ends a
+    block is raised after the items before it, and only when its block is
+    replayed.  A worker that ends other than by finishing is named as a
+    kind worker once this process, looking for a block, finds it gone, so
+    one that dies holding the token stops the walk rather than hanging it.
+    Every worker is killed and reaped before this returns or raises.
 
     Where the platform has os.sched_setaffinity, this process runs on the
     lowest CPU of its affinity set for the walk, and worker w on the w-th
@@ -519,25 +544,34 @@ def _walk(kind: str, visit, take, hi: int, lo: int):
     and the set is restored after the reap, however the walk ends."""
     count = hi - lo + 1
     processes = _processes(count)
-    pids, pipes, ahead = [], [], {}
-    mine, halted = _blocks(0, hi, lo, processes), False
-    saved = cpus = None
+    live, ahead = {}, {}   # a worker's read end: [pid, buffer]
+    token = saved = cpus = None
+    claim = iter(range(-(-count // _SCAN_BLOCK))).__next__
     if processes > 1 and hasattr(os, "sched_setaffinity"):
         saved = os.sched_getaffinity(0)
         cpus = sorted(saved)
     try:
+        if processes > 1:
+            from select import select
+            token = os.pipe()
+            os.write(token[1], bytes(8))
+            os.set_blocking(token[0], False)
+
+            def claim():
+                return _claim(token, hi, lo)
         if cpus is not None:
             _pin(0, {cpus[0]})
         for w in range(1, processes):
             r, fd = os.pipe()
-            pipes.append((r, bytearray()))
+            live[r] = [None, bytearray()]
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(w, fd, visit, hi, lo, processes, cpus)
+                    _work(w, fd, token, visit, hi, lo, cpus, tuple(live))
             finally:
                 os.close(fd)
-            pids.append(pid)
+            live[r][0] = pid
+            os.set_blocking(r, False)
             if cpus is not None:
                 # a new child first runs on this process's CPU, once the
                 # kernel preempts this process (up to 3.4 ms after the
@@ -545,51 +579,55 @@ def _walk(kind: str, visit, take, hi: int, lo: int):
                 # own CPU at once, and it pins itself too in case it ran
                 # before this line
                 _pin(pid, {cpus[w % len(cpus)]})
-        for b in range(-(-count // _SCAN_BLOCK)):
-            w = _owner(b, processes)
-            if w == 0:
-                # an own block not walked ahead is the next one of mine
-                walked = ahead.pop(b, None) or _block(visit, hi, lo,
-                                                      next(mine))
-            else:
-                data = _message(pipes[w - 1], False)
-                while data is None and not halted:
-                    a = next(mine, None)
-                    if a is not None:
-                        ahead[a] = _block(visit, hi, lo, a)
-                        data = _message(pipes[w - 1], False)
-                    halted = (a is None or ahead[a][1]
-                              or ahead[a][2] is not None)
-                if data is None:
-                    data = _message(pipes[w - 1], True)
-                if not data:
-                    pid = pids.pop(w - 1)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    ended = (f"was killed by signal {-code}" if code < 0
-                             else f"exited with status {code}")
+        b, claiming, wait = 0, True, 0
+        while hi - b * _SCAN_BLOCK >= lo:
+            while b not in ahead:
+                if live:
+                    fds = list(live)
+                    if claiming and wait is None:
+                        fds.append(token[0])
+                    for r in select(fds, [], [], wait)[0]:
+                        if r in live and not _receive(r, live[r][1], ahead):
+                            os.close(r)
+                            _reap(kind, live.pop(r)[0])
+                    if b in ahead:
+                        break
+                wait = None
+                if claiming:
+                    try:
+                        c = claim()
+                    except BlockingIOError:
+                        continue
+                    wait = 0
+                    if c is None:
+                        claiming = False
+                    else:
+                        ahead[c] = walked = _block(visit, hi, lo, c)
+                        claiming = not walked[1] and walked[2] is None
+                elif not live:
                     raise RuntimeError(
-                        f"{kind} worker {pid} {ended} without sending its "
-                        f"rows")
-                items, stop, failure = marshal.loads(data)
-                if failure is not None:
-                    import pickle
-                    failure = pickle.loads(failure)
-                walked = items, stop, failure
-            items, stop, failure = walked
+                        f"{kind} block {b} was claimed by a worker that "
+                        f"exited without sending it")
+            items, stop, failure = ahead.pop(b)
             for item in items:
                 take(item)
             if stop:
                 return items[-1]
             if failure is not None:
+                if isinstance(failure, bytes):
+                    import pickle
+                    failure = pickle.loads(failure)
                 raise failure
+            b += 1
         return None
     finally:
         # the interpreter loads _signal at start-up, while importing signal
         # builds its enums, about 1 ms that a search's hit would wait for
         from _signal import SIGKILL
+        pids = [pid for pid, _ in live.values() if pid is not None]
         for pid in pids:
             os.kill(pid, SIGKILL)
-        for r, _ in pipes:
+        for r in (*live, *(token or ())):
             os.close(r)
         for pid in pids:
             os.waitpid(pid, 0)
@@ -610,16 +648,17 @@ def scan(curve: OddHyperellipticCurve, Q: MumfordDivisor,
 
     A range of SCAN_FORK_MIN n or more is walked by the CPUs this process
     may use, as _walk shares it: one forked worker per CPU beyond the
-    first, each streaming its blocks of n, and this process replaying
-    them in n order.  Each process runs on its own CPU of this process's
-    affinity set, which is restored when the scan ends.  The rows, and so
-    the CLI's bytes, do not depend on the number or placement of CPUs,
-    and an exception raised by a row is the serial scan's, that of the
-    first failing n.  Each worker holds its own copy of the process's
-    memory as it writes to it, and its own caches and prime sieve.  The
-    scan stays in this process when os.fork is missing, when another
-    thread is running (a fork copies only the calling thread), or when
-    one CPU is usable.  A worker that dies without
+    first, every process claiming the next block of n whenever it has
+    walked its last, each worker streaming the blocks it walks, and this
+    process replaying them in n order.  Each process runs on its own CPU
+    of this process's affinity set, which is restored when the scan ends.
+    The rows, and so the CLI's bytes, do not depend on the number or
+    placement of CPUs, and an exception raised by a row is the serial
+    scan's, that of the first failing n.  Each worker holds its own copy
+    of the process's memory as it writes to it, and its own caches and
+    prime sieve.  The scan stays in this process when os.fork is missing,
+    when another thread is running (a fork copies only the calling
+    thread), or when one CPU is usable.  A worker that dies without
     sending its rows raises RuntimeError, and no worker outlives the call.
     """
     if n_hi > curve.negativity_bound:
@@ -657,13 +696,15 @@ def find_order_at_least(curve: OddHyperellipticCurve, Q: MumfordDivisor,
     given, is called with (n, order or None) for every examined n, in
     descending n, in this process.
 
-    The walk is shared as a scan's is, by the same rule and with each
-    process on its own CPU, and stops at the first hit: the workers are
-    killed, this process's affinity set is restored, and what any process
-    walked past the hit is wasted.  The hit, the progress calls and any
-    exception are the serial walk's, whatever the number of CPUs; a hit
-    that a worker found is specialised again here, and its order read,
-    before the record is returned.  No worker outlives the call.
+    The walk is shared as a scan's is, by the same rule, with blocks of
+    n claimed on demand and each process on its own CPU, and stops at the
+    first hit: the workers are killed, this process's affinity set is
+    restored, and what any process walked past the hit is wasted.  A
+    process stops claiming after a block with a hit.  The hit, the
+    progress calls and any exception are the serial walk's, whatever the
+    number of CPUs; a hit that a worker found is specialised again here,
+    and its order read, before the record is returned.  No worker
+    outlives the call.
     """
     if k < 1:
         raise ValueError(f"k = {k} must be >= 1")

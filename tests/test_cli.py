@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,14 +301,16 @@ def test_search_computes_no_order_after_the_hit(tmp_path, capsys,
 
 def test_forked_search_computes_no_order_after_a_workers_hit(
         tmp_path, capsys, monkeypatch):
-    # as above, on two CPUs with the hit n = -403 in the worker's block:
-    # this process specialises its own n and the worker's hit again, and
-    # reads that hit's order before the search returns
+    # as above, on two CPUs with the hit n = -403 found by the worker: this
+    # process waits at its first n until the worker has walked the hit, and
+    # then specialises the n of its own blocks and the worker's hit again,
+    # whose order it reads before the search returns
     found, examined, specialised, forks = [], [], [], []
     search = cli.find_order_at_least
     order = IdealClass.order
     specialise = specialize.specialize_form
     fork = os.fork
+    caller, hit = os.getpid(), tmp_path / "hit"
 
     def find(*args, progress, **kwargs):
         def note(n, o):
@@ -320,7 +324,14 @@ def test_forked_search_computes_no_order_after_a_workers_hit(
         return order(self, *args)
 
     def counted_specialise(form, curve, n, *args):
-        specialised.append(n)
+        if os.getpid() != caller:
+            if n == -403:
+                hit.touch()
+        else:
+            specialised.append(n)
+            end = time.monotonic() + 10
+            while not hit.exists() and time.monotonic() < end:
+                time.sleep(0.001)
         return specialise(form, curve, n, *args)
 
     def counted_fork():
@@ -343,15 +354,11 @@ def test_forked_search_computes_no_order_after_a_workers_hit(
     assert [s.n for s in found] == [-403]
     assert "order = 13406" in out.splitlines()
     assert examined == list(range(1, -404, -1))
-    # this process specialised the n of its own blocks, from n = 1 on,
-    # perhaps own n past the hit while the worker's block was on its way,
-    # and the worker's hit
-    hi = CURVE.negativity_bound
-    own = [n for n in examined if specialize._owner((hi - n) // 2, 2) == 0]
-    assert specialised[:len(own)] == own and own[0] == 1
-    assert all(n < -403 and specialize._owner((hi - n) // 2, 2) == 0
-               for n in specialised[len(own):-1])
-    assert specialised[-1] == -403
+    # this process specialised the n of the blocks it claimed, in
+    # descending n and perhaps past the hit while the worker's blocks were
+    # on their way, and last the worker's hit, which it never walked
+    assert specialised[-1] == -403 and -403 not in specialised[:-1]
+    assert specialised[:-1] == sorted(specialised[:-1], reverse=True)
 
 
 def test_import_loads_no_fork_module():
@@ -364,6 +371,58 @@ def test_import_loads_no_fork_module():
          "{'select', 'pickle', 'signal'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded == "[]\n"
+
+
+def running(pid):
+    """Whether process pid runs: it exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in "ZX"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads the states of processes from /proc")
+def test_a_worker_exits_when_its_caller_is_killed(tmp_path):
+    # a worker holds no read end of a result pipe, so its next write fails
+    # once the caller is gone; the caller is killed in the middle of a
+    # search that would walk for minutes
+    import hyperclass
+    cfg = write_config(tmp_path, BASE)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hyperclass.__file__).parents[1]))
+    script = (
+        "import os\n"
+        "from hyperclass import cli, specialize\n"
+        "specialize._usable_cpus = lambda: 2\n"
+        "fork = os.fork\n"
+        "def announced():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        print(pid, flush=True)\n"
+        "    return pid\n"
+        "os.fork = announced\n"
+        f"cli.main(['search', '--config', {cfg!r}, '--min-order', "
+        f"'1000000000', '--floor', '-400000'])\n")
+    caller = subprocess.Popen([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        worker = int(caller.stdout.readline())
+        time.sleep(0.3)
+        assert running(worker) and caller.poll() is None
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+    end = time.monotonic() + 5
+    while running(worker) and time.monotonic() < end:
+        time.sleep(0.01)
+    gone = not running(worker)
+    if not gone:
+        os.kill(worker, signal.SIGKILL)
+    assert gone
 
 
 def test_search_keeps_its_hit_when_h_is_refused(tmp_path, capsys,

@@ -1005,10 +1005,60 @@ def test_forked_scan_prints_the_serial_bytes(monkeypatch, tmp_path, capsys,
     assert out[2] == out[1] and out[3] == out[1]
 
 
-def test_workers_take_blocks_of_two_n_in_turn(monkeypatch):
+class Visits:
+    """Plant a rule before every specialisation of a scan or a search, in
+    this process and in its forked workers, and log each n with the pid of
+    the process that specialises it, in a file that all of them append to.
+    rule(n, worker) runs after the log line; with until() a process waits
+    there for what another one has walked, which is how a test decides
+    who walks an n when the processes claim blocks on demand."""
+
+    def __init__(self, monkeypatch, tmp_path, rule=None):
+        self.caller, self.log = os.getpid(), tmp_path / "visits"
+        self.log.write_text("")
+        specialise = specialize.specialize_form
+
+        def planted(form, curve, n, *args):
+            with open(self.log, "a") as f:
+                f.write(f"{os.getpid()} {n}\n")
+            if rule is not None:
+                rule(n, os.getpid() != self.caller)
+            return specialise(form, curve, n, *args)
+        monkeypatch.setattr(specialize, "specialize_form", planted)
+
+    def walked(self, worker=None):
+        """The (pid, n) of every visit, in the order of the log: of the
+        workers, of this process, or of all when worker is None."""
+        pairs = [tuple(map(int, line.split()))
+                 for line in self.log.read_text().splitlines()]
+        return [(pid, n) for pid, n in pairs
+                if worker is None or (pid != self.caller) == worker]
+
+    def ns(self, worker):
+        """The n that the workers, or this process, have walked."""
+        return {n for _, n in self.walked(worker)}
+
+
+def until(condition, timeout=10):
+    """Wait, up to timeout seconds, until condition() holds."""
+    end = time.monotonic() + timeout
+    while not condition() and time.monotonic() < end:
+        time.sleep(0.001)
+
+
+def test_a_forked_walk_keeps_each_block_of_two_n_in_one_process(
+        monkeypatch, tmp_path):
     # a split by parity would give one worker every defined row of the
-    # genus-2 example, which over [-60, 0] is defined only at even n
+    # genus-2 example, which over [-60, 0] is defined only at even n; a
+    # block keeps consecutive n in one process, whichever claims it
+    log = tmp_path / "pids"
+    log.write_text("")
+
     def whose(n):
+        # every process walks its first n once all three have one
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        until(lambda: len(set(log.read_text().split())) == 3)
         return (n, str(os.getpid())), False
     monkeypatch.setattr(specialize, "_usable_cpus", lambda: 3)
     rows = []
@@ -1017,11 +1067,77 @@ def test_workers_take_blocks_of_two_n_in_turn(monkeypatch):
     assert [r.n for r in rows] == list(range(SCAN_FORK_MIN - 1, -1, -1))
     owners = [r.error for r in rows]
     assert owners[0::2] == owners[1::2]
-    blocks = owners[0::2]
-    assert blocks[0] == str(os.getpid()) and len(set(blocks[:3])) == 3
-    # the turns go forward, then backward
-    assert blocks[3:6] == blocks[2::-1] and blocks[6] == blocks[0]
+    assert str(os.getpid()) in owners and len(set(owners)) == 3
     assert no_worker_left()
+
+
+def test_a_three_process_forked_scan_visits_every_n_once(monkeypatch,
+                                                         tmp_path):
+    visits = Visits(monkeypatch, tmp_path)
+    forks = cpus(monkeypatch, 3)
+    rows = scan(CURVE, Q, -400, 1)
+    assert len(forks) == 2
+    assert no_worker_left()
+    assert [r.n for r in rows] == list(range(1, -401, -1))
+    assert sorted(n for _, n in visits.walked()) == list(range(-400, 2))
+
+
+def test_a_slow_worker_leaves_the_caller_most_blocks(monkeypatch, tmp_path,
+                                                     capsys):
+    text, lo, hi = CLI_CASES["genus1-csv"]
+    path = tmp_path / "scan.cfg"
+    path.write_text(text)
+    argv = ["scan", "--config", str(path), "--from", lo, "--to", hi]
+    cpus(monkeypatch, 1)
+    serial = cli.main(argv), capsys.readouterr()
+
+    def slow(n, worker):
+        if worker:
+            time.sleep(0.02)
+    visits = Visits(monkeypatch, tmp_path, slow)
+    forks = cpus(monkeypatch, 2)
+    assert (cli.main(argv), capsys.readouterr()) == serial
+    assert len(forks) == 1
+    assert no_worker_left()
+    blocks = -(-(int(hi) - int(lo) + 1) // specialize._SCAN_BLOCK)
+    own = {(int(hi) - n) // specialize._SCAN_BLOCK
+           for _, n in visits.walked(worker=False)}
+    assert len(own) > blocks / 2
+
+
+@pytest.mark.parametrize("holding", [False, True])
+def test_a_worker_that_exits_after_a_claim_is_named(monkeypatch, tmp_path,
+                                                     holding):
+    # the worker exits with a block claimed, or holding the token, which
+    # it then never writes back; a third process waits for that token
+    caller, gone = os.getpid(), tmp_path / "gone"
+    claim = specialize._claim
+
+    def planted(token, hi, lo):
+        if os.getpid() == caller:
+            return claim(token, hi, lo)
+        if holding:
+            os.read(token[0], 8)
+        else:
+            claim(token, hi, lo)
+        gone.touch()
+        os._exit(5)
+
+    def first(n, worker):
+        until(gone.exists)
+    monkeypatch.setattr(specialize, "_claim", planted)
+    Visits(monkeypatch, tmp_path, first)
+    for count in (2, 3):
+        gone.unlink(missing_ok=True)
+        forks = cpus(monkeypatch, count)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError,
+                           match=r"^scan worker (\d+) exited with status 5 "
+                                 r"without sending its rows$") as info:
+            scan(CURVE, Q, -400, 1)
+        assert time.monotonic() - start < 20
+        assert int(str(info.value).split()[2]) in forks
+        assert no_worker_left()
 
 
 def test_short_scan_never_forks(monkeypatch):
@@ -1038,26 +1154,23 @@ def test_short_scan_never_forks(monkeypatch):
     assert len(scan(CURVE, Q, -400, hi)) == 402
 
 
-# with two CPUs over [-60, 1] this process takes the blocks (1, 0),
-# (-5, -6), (-7, -8), ... and the worker (-1, -2), (-3, -4), (-9, -10), ...
-WORKER_N, PARENT_N = -2, 1
-
-
-def planted_row(monkeypatch, at, action):
-    row = specialize._scan_row
-
-    def planted(curve, form, fprime, n, *args):
-        if n == at:
+def planted_row(monkeypatch, tmp_path, in_worker, action):
+    """Run action at the first n that a worker, or this process, walks in a
+    two-process scan; this process walks its first n only once a worker
+    has begun, so that one does."""
+    def rule(n, worker):
+        if not worker:
+            until(lambda: visits.walked(worker=True))
+        if worker == in_worker:
             action()
-        return row(curve, form, fprime, n, *args)
-    monkeypatch.setattr(specialize, "_scan_row", planted)
+    visits = Visits(monkeypatch, tmp_path, rule)
     cpus(monkeypatch, 2)
 
 
-def test_a_worker_exception_reaches_the_caller(monkeypatch):
+def test_a_worker_exception_reaches_the_caller(monkeypatch, tmp_path):
     def fail():
         raise RuntimeError(f"planted in process {os.getpid()}")
-    planted_row(monkeypatch, WORKER_N, fail)
+    planted_row(monkeypatch, tmp_path, True, fail)
     with pytest.raises(RuntimeError, match="planted in process") as info:
         scan(CURVE, Q, -60, 1)
     assert str(os.getpid()) not in str(info.value)
@@ -1071,7 +1184,8 @@ class TwoArgError(Exception):
         super().__init__(f"{what} {where}")
 
 
-def test_an_exception_that_does_not_travel_arrives_by_name(monkeypatch):
+def test_an_exception_that_does_not_travel_arrives_by_name(monkeypatch,
+                                                           tmp_path):
     class Local(Exception):   # a local class does not pickle
         pass
 
@@ -1079,7 +1193,7 @@ def test_an_exception_that_does_not_travel_arrives_by_name(monkeypatch):
                       (TwoArgError("planted", 2), "TwoArgError: planted 2")):
         def fail():
             raise exc
-        planted_row(monkeypatch, WORKER_N, fail)
+        planted_row(monkeypatch, tmp_path, True, fail)
         with pytest.raises(RuntimeError) as info:
             scan(CURVE, Q, -60, 1)
         assert str(info.value) == text
@@ -1087,25 +1201,25 @@ def test_an_exception_that_does_not_travel_arrives_by_name(monkeypatch):
         monkeypatch.undo()
 
 
-def test_a_worker_that_dies_without_writing_is_named(monkeypatch):
-    planted_row(monkeypatch, WORKER_N, lambda: os._exit(7))
+def test_a_worker_that_dies_without_writing_is_named(monkeypatch, tmp_path):
+    planted_row(monkeypatch, tmp_path, True, lambda: os._exit(7))
     with pytest.raises(RuntimeError,
                        match="exited with status 7 without sending"):
         scan(CURVE, Q, -60, 1)
     assert no_worker_left()
 
 
-def test_a_failing_caller_kills_and_reaps_its_workers(monkeypatch):
+def test_a_failing_caller_kills_and_reaps_its_workers(monkeypatch, tmp_path):
     def fail():
         raise KeyboardInterrupt
-    planted_row(monkeypatch, PARENT_N, fail)
+    planted_row(monkeypatch, tmp_path, False, fail)
     with pytest.raises(KeyboardInterrupt):
         scan(CURVE, Q, -60, 1)
     assert no_worker_left()
 
 
-# (walk, the n of a hit in a worker's block, whether the caller is
-# interrupted at its first n); -403 is worker 1's at 2 and at 3 processes
+# (walk, the n of a hit that a worker finds, whether the caller is
+# interrupted at its first n)
 PLACEMENT_CASES = {
     "scan": (lambda: scan(CURVE, Q, -60, 1), None, False),
     "worker-hit": (lambda: find_order_at_least(CURVE, Q, 12000, -3000),
@@ -1127,14 +1241,33 @@ def test_each_process_of_a_forked_walk_runs_on_its_own_cpu(
     on = sorted(before)
     caller = os.getpid()
     log = tmp_path / "placement"
+    log.write_text("")
     specialise = specialize.specialize_form
+
+    def ran():
+        """The (n, CPU set) of every visit, by pid."""
+        got = {}
+        for line in log.read_text().splitlines():
+            pid, n, *cpu_set = map(int, line.split())
+            got.setdefault(pid, []).append((n, set(cpu_set)))
+        return got
+
+    def started(hit=None):
+        """Whether every worker has walked an n, and one the hit."""
+        got = ran()
+        return len(set(got) - {caller}) == count - 1 and (
+            hit is None or any(n == hit for pid in got if pid != caller
+                               for n, _ in got[pid]))
 
     def planted(form, curve, n, *args):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {n} "
                     f"{' '.join(map(str, os.sched_getaffinity(0)))}\n")
-        if interrupt and os.getpid() == caller:
+        if os.getpid() == caller and interrupt:
             raise KeyboardInterrupt
+        # every process holds a block before any walks on, and this one
+        # walks on once a worker has found the hit
+        until(lambda: started(None if os.getpid() != caller else hit))
         return specialise(form, curve, n, *args)
     monkeypatch.setattr(specialize, "specialize_form", planted)
     forks = cpus(monkeypatch, count)
@@ -1152,20 +1285,17 @@ def test_each_process_of_a_forked_walk_runs_on_its_own_cpu(
     # worker w on the w-th CPU of the caller's set, counted round it
     where = {caller: on[0]}
     where.update((pid, on[w % len(on)]) for w, pid in enumerate(forks, 1))
-    ran = {}
-    for line in log.read_text().splitlines():
-        pid, n, *cpu_set = map(int, line.split())
-        ran.setdefault(pid, []).append((n, set(cpu_set)))
-    assert set(ran) <= set(where)
+    visits = ran()
+    assert set(visits) <= set(where)
     if not interrupt:
-        assert set(ran) == set(where)
-    for pid, visits in ran.items():
-        for n, cpu_set in visits:
+        assert set(visits) == set(where)
+    for pid, seen in visits.items():
+        for n, cpu_set in seen:
             # a worker's hit is specialised again after the walk
             assert cpu_set == (before if pid == caller and n == hit
                                else {where[pid]})
     if hit is not None:
-        assert (hit, before) in ran[caller]
+        assert (hit, before) in visits[caller]
 
 
 @pytest.mark.parametrize("how", ["refused", "missing"])
@@ -1190,12 +1320,6 @@ def test_a_forked_scan_runs_where_placement_fails(monkeypatch, how):
                      else [])
 
 
-def owner(n, processes):
-    """The process whose block holds n in a search of CURVE."""
-    block = (CURVE.negativity_bound - n) // specialize._SCAN_BLOCK
-    return specialize._owner(block, processes)
-
-
 def capped_at(monkeypatch, n):
     """Plant an order past the cap at n's class in the maximal order."""
     disc = specialize_form(to_alt_mumford(CURVE, Q), CURVE,
@@ -1210,8 +1334,8 @@ def capped_at(monkeypatch, n):
 
 
 # (k, floor, keyword arguments, plant, hit n); the hit of search-g1's
-# search, n = -403, is in a worker's block at 2 CPUs, and n = -85 in this
-# process's
+# search, n = -403, is a worker's in test_forked_search_equals_serial_search,
+# and n = -85 this process's
 SEARCH_CASES = {
     "worker-hit": (12000, -3000, {}, None, -403),
     "caller-hit": (1000, -3000, {}, None, -85),
@@ -1222,18 +1346,33 @@ SEARCH_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
-def test_forked_search_equals_serial_search(monkeypatch, case):
+def test_forked_search_equals_serial_search(monkeypatch, tmp_path, case):
     k, floor, kwargs, plant, hit = SEARCH_CASES[case]
     if plant is not None:
         plant(monkeypatch)
+
+    def rule(n, worker):
+        # the worker-hit's caller waits for a worker to walk the hit, and
+        # the caller-hit's workers for the caller to walk it
+        if case == "worker-hit" and not worker and count > 1:
+            until(lambda: hit in visits.ns(True))
+        if case == "caller-hit" and worker:
+            until(lambda: hit in visits.ns(False))
+    visits = Visits(monkeypatch, tmp_path, rule)
     got = {}
     for count in (1, 2, 3):
+        visits.log.write_text("")
         forks = cpus(monkeypatch, count)
         calls = []
         s = find_order_at_least(CURVE, Q, k, floor, **kwargs,
                                 progress=lambda n, o: calls.append((n, o)))
         assert len(forks) == count - 1
         assert no_worker_left()
+        by_worker = visits.ns(True)
+        if case == "worker-hit" and count > 1:
+            assert hit in by_worker
+        if case == "caller-hit":
+            assert hit not in by_worker
         if s is None:
             got[count] = calls, None
             continue
@@ -1249,10 +1388,6 @@ def test_forked_search_equals_serial_search(monkeypatch, case):
         assert found[0] == hit
     if plant is not None:
         assert found[2] == "planted"
-    if case == "worker-hit":
-        assert owner(hit, 2) == 1
-    if case == "caller-hit":
-        assert owner(hit, 2) == 0
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
@@ -1283,25 +1418,28 @@ def test_forked_search_prints_the_serial_bytes(monkeypatch, tmp_path,
         assert out.out.startswith(f"n = {hit}\n")
 
 
-def planted_search(monkeypatch, at, action):
-    """Run action where the search specialises an n that at accepts."""
-    specialise = specialize.specialize_form
-
-    def planted(form, curve, n, *args):
+def planted_search(monkeypatch, tmp_path, at, action):
+    """Run action where a two-process search specialises an n that at
+    accepts."""
+    def rule(n, worker):
         if at(n):
             action()
-        return specialise(form, curve, n, *args)
-    monkeypatch.setattr(specialize, "specialize_form", planted)
+    Visits(monkeypatch, tmp_path, rule)
     return cpus(monkeypatch, 2)
 
 
 def test_a_worker_inconsistency_before_the_hit_reaches_the_caller(
-        monkeypatch):
-    def fail():
-        raise InternalInconsistencyError(f"planted in process {os.getpid()}")
-    # the second n of the worker's first block (-49, -50)
-    assert owner(-50, 2) == 1
-    planted_search(monkeypatch, lambda n: n == -50, fail)
+        monkeypatch, tmp_path):
+    # a worker walks n = -50, which fails; this process waits at its first
+    # n until then
+    def rule(n, worker):
+        if worker and n == -50:
+            raise InternalInconsistencyError(
+                f"planted in process {os.getpid()}")
+        if not worker:
+            until(lambda: -50 in visits.ns(True))
+    visits = Visits(monkeypatch, tmp_path, rule)
+    cpus(monkeypatch, 2)
     calls = []
     with pytest.raises(InternalInconsistencyError,
                        match="planted in process") as info:
@@ -1314,12 +1452,13 @@ def test_a_worker_inconsistency_before_the_hit_reaches_the_caller(
 
 
 @pytest.mark.parametrize("k, hit", [(12000, -403), (1000, -85)])
-def test_an_inconsistency_past_the_hit_is_never_raised(monkeypatch, k, hit):
+def test_an_inconsistency_past_the_hit_is_never_raised(monkeypatch, tmp_path,
+                                                       k, hit):
     # on 3 CPUs, and at the caller's hit, a worker runs past the hit into
     # the planted failures
     def fail():
         raise InternalInconsistencyError("planted")
-    planted_search(monkeypatch, lambda n: n < hit, fail)
+    planted_search(monkeypatch, tmp_path, lambda n: n < hit, fail)
     for count in (2, 3):
         forks = cpus(monkeypatch, count)
         assert find_order_at_least(CURVE, Q, k, -3000).n == hit
@@ -1327,34 +1466,50 @@ def test_an_inconsistency_past_the_hit_is_never_raised(monkeypatch, k, hit):
         assert no_worker_left()
 
 
-def test_workers_past_the_hit_are_killed(monkeypatch):
-    # the worker sleeps at n = -89, past the caller's hit at n = -85, so
+def test_workers_past_the_hit_are_killed(monkeypatch, tmp_path):
+    # this process walks its hit n = -85 while the worker waits at its
+    # first n; then the worker sleeps at its first n past the hit, so
     # reaping it without a kill would wait out the sleep
-    assert owner(-85, 2) == 0 and owner(-89, 2) == 1
-    planted_search(monkeypatch, lambda n: n == -89, lambda: time.sleep(30))
+    def rule(n, worker):
+        if worker and n < -85:
+            time.sleep(30)
+        elif worker:
+            until(lambda: -85 in visits.ns(False))
+        elif n == -85:
+            until(lambda: any(m < -85 for _, m in
+                                     visits.walked(worker=True)))
+    visits = Visits(monkeypatch, tmp_path, rule)
+    cpus(monkeypatch, 2)
     start = time.monotonic()
     assert find_order_at_least(CURVE, Q, 1000, -3000).n == -85
     assert time.monotonic() - start < 20
     assert no_worker_left()
+    assert any(n < -85 for _, n in visits.walked(worker=True))
 
 
-def test_a_search_worker_that_dies_is_named(monkeypatch):
-    planted_search(monkeypatch, lambda n: n == -49, lambda: os._exit(7))
+def test_a_search_worker_that_dies_is_named(monkeypatch, tmp_path):
+    def rule(n, worker):
+        if worker:
+            os._exit(7)
+        until(lambda: visits.walked(worker=True))
+    visits = Visits(monkeypatch, tmp_path, rule)
+    forks = cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError,
                        match=r"search worker (\d+) exited with status 7 "
                              r"without sending") as info:
         find_order_at_least(CURVE, Q, 12000, -3000)
-    assert int(str(info.value).split()[2]) != os.getpid()
+    assert int(str(info.value).split()[2]) == forks[0] != os.getpid()
     assert no_worker_left()
 
 
-def test_a_failing_search_kills_and_reaps_its_workers(monkeypatch):
-    def interrupt():
-        if os.getpid() == caller:
+def test_a_failing_search_kills_and_reaps_its_workers(monkeypatch, tmp_path):
+    # this process is interrupted at its first n, once a worker has begun
+    def rule(n, worker):
+        if not worker:
+            until(lambda: visits.walked(worker=True))
             raise KeyboardInterrupt
-    caller = os.getpid()
-    assert owner(-55, 2) == 0
-    forks = planted_search(monkeypatch, lambda n: n == -55, interrupt)
+    visits = Visits(monkeypatch, tmp_path, rule)
+    forks = cpus(monkeypatch, 2)
     with pytest.raises(KeyboardInterrupt):
         find_order_at_least(CURVE, Q, 12000, -3000)
     assert len(forks) == 1
@@ -1404,8 +1559,8 @@ def test_short_search_never_forks(monkeypatch):
 
 
 def test_a_forked_scan_raises_the_serial_scans_error(monkeypatch):
-    # at 2 CPUs n = -2 is in the worker's block (-1, -2) and n = -5 in this
-    # process's (-5, -6), which it may walk before the worker's arrives
+    # whichever process walks n = -2 and n = -5, and in whatever order,
+    # the error raised is that of n = -2
     row = specialize._scan_row
 
     def planted(curve, form, fprime, n, *args):
@@ -1421,28 +1576,28 @@ def test_a_forked_scan_raises_the_serial_scans_error(monkeypatch):
         assert no_worker_left()
 
 
-def test_the_caller_walks_ahead_no_further_than_its_own_hit(monkeypatch):
-    # k = 1000: the hit n = -85 is in this process's block (-85, -86), and
-    # the worker sleeps in the block before it, (-83, -84); this process
-    # walks ahead to its hit while it waits, and not into (-87, -88)
-    assert owner(-83, 2) == 1 and owner(-85, 2) == 0 and owner(-87, 2) == 0
-    caller = os.getpid()
-    specialise = specialize.specialize_form
+def test_the_caller_walks_ahead_no_further_than_its_own_hit(monkeypatch,
+                                                            tmp_path):
+    # k = 1000: the worker sleeps at its first n, in a block before the hit
+    # n = -85; this process walks ahead to its hit while it waits, and not
+    # into the next blocks
     walked, replayed = {}, {}
 
-    def planted(form, curve, n, *args):
-        if os.getpid() == caller:
-            walked.setdefault(n, time.monotonic())
-        elif n == -83:
+    def rule(n, worker):
+        if worker and len(visits.walked(worker=True)) == 1:
             time.sleep(0.5)
-        return specialise(form, curve, n, *args)
-    monkeypatch.setattr(specialize, "specialize_form", planted)
+        elif not worker:
+            walked.setdefault(n, time.monotonic())
+            if count > 1:
+                until(lambda: visits.walked(worker=True))
 
     def progress(n, order):
         replayed.setdefault(n, time.monotonic())
         calls.append((n, order))
+    visits = Visits(monkeypatch, tmp_path, rule)
     got = {}
     for count in (1, 2):
+        visits.log.write_text("")
         forks = cpus(monkeypatch, count)
         calls = []
         walked.clear()
@@ -1452,6 +1607,7 @@ def test_the_caller_walks_ahead_no_further_than_its_own_hit(monkeypatch):
         assert no_worker_left()
         got[count] = s.n, s.order_maximal, calls
     assert got[2] == got[1] and got[1][0] == -85
-    assert -87 not in walked and -88 not in walked and -86 not in walked
+    assert -86 not in walked and not any(n < -86 for n in walked)
     # the hit was walked while the worker's block was on its way
-    assert walked[-85] < replayed[-83]
+    first = visits.walked(worker=True)[0][1]
+    assert first > -85 and walked[-85] < replayed[first]
