@@ -34,16 +34,18 @@ b^2 = disc mod 4a is multiplicative in a, so one sieve over the primes
 up to sqrt(|disc|/3), one modular power each, gives the count for every
 a up to sqrt(|disc|)/2, where each root is one reduced form.  The few a
 above that list their roots by one Chinese remainder step from those of
-the cofactor left by the largest prime, one root of each pair b, -b,
-and keep those with c >= a.  A non-fundamental discriminant goes through the conductor
-formula, the same one that scales the maximal-order class number to
-Z[sqrt(D)].  The count takes O(|disc|^(1/2 + eps)) time and
-O(|disc|^(1/2)) memory.
+the cofactor left by the largest odd prime, or, for a power of 2, from
+its own, one root of each pair b, -b, and keep those with c >= a.  A
+non-fundamental discriminant goes through the conductor formula, the
+same one that scales the maximal-order class number to Z[sqrt(D)].  The
+count takes O(|disc|^(1/2 + eps)) time and O(|disc|^(1/2)) memory, 7 to
+9 bytes per a up to sqrt(|disc|/3) at its peak, all freed on return.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,8 +66,8 @@ from .polyarith import xgcd
 # Resource limits: the default rho budget of factorint, the largest
 # class order that IdealClass.order searches for (the bound on its baby
 # table; an order found by order_dividing is exact and not capped), and
-# the largest |disc| whose class number is counted (its sieves take about
-# 1.9 GB at the cap).  Past them the tool raises FactorizationBoundError,
+# the largest |disc| whose class number is counted (the count peaks near
+# 1.3 GB at the cap).  Past them the tool raises FactorizationBoundError,
 # OrderBoundError or ClassNumberBoundError instead of computing on.
 FACTOR_BOUND = 10 ** 6
 ORDER_CAP = 10 ** 7
@@ -124,12 +126,14 @@ def sqrt_mod(n: int, p: int) -> int | None:
 
 
 _SIEVE_LIMIT = 0
-_SIEVE_PRIMES: list[int] = []
+_SIEVE_PRIMES = array("I")
 
 
-def _sieve(limit: int) -> list[int]:
-    """The cached list of every prime <= _SIEVE_LIMIT, first grown to
-    limit or twice its old limit when limit is past it."""
+def _sieve(limit: int) -> array:
+    """The cached table of every prime <= _SIEVE_LIMIT, first grown to
+    limit or twice its old limit when limit is past it.  Its words take 4
+    bytes a prime, not a Python int's 36: a count sieves to at most
+    sqrt(DISC_CAP/3) < 2^28, so the limit stays below 2^32."""
     global _SIEVE_LIMIT, _SIEVE_PRIMES
     if limit > _SIEVE_LIMIT:
         new_limit = max(limit, 2 * _SIEVE_LIMIT, 1 << 10)
@@ -141,17 +145,16 @@ def _sieve(limit: int) -> list[int]:
                 p = 2 * i + 1
                 start = p * p // 2
                 flags[start::p] = bytes(len(range(start, len(flags), p)))
-        _SIEVE_PRIMES = [2, *compress(range(1, new_limit + 1, 2), flags)]
+        _SIEVE_PRIMES = array("I", [2])
+        _SIEVE_PRIMES.extend(compress(range(1, new_limit + 1, 2), flags))
         _SIEVE_LIMIT = new_limit
     return _SIEVE_PRIMES
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """Cached list of primes <= limit, grown on demand."""
+    """List of primes <= limit, from the cached table."""
     primes = _sieve(limit)
-    if _SIEVE_LIMIT == limit:
-        return primes
-    return primes[:bisect_right(primes, limit)]
+    return primes[:bisect_right(primes, limit)].tolist()
 
 
 # Trial division tests _PRIME_BLOCK consecutive primes of the sieve at once,
@@ -998,15 +1001,20 @@ def _count_reduced_forms(disc: int) -> int:
     For 4a^2 <= -disc, each root b in (-a, a] is one reduced form, since
     c = (b^2 - disc)/(4a) >= a holds by itself; those a add up their r(a).
     For the a above, about 0.077*sqrt(-disc) values, the roots of each a
-    with r(a) > 0 come by one Chinese remainder step from the roots of
-    its cofactor a/p^e, p the largest odd prime of a: the cofactors are
-    few, and their roots are listed once, the same way.  A root b counts
-    when c > a, that is |b| > beta = isqrt(4a^2 + disc), and the form
-    (a, beta, a) counts once when beta^2 = 4a^2 + disc.  The roots come
-    in pairs b, -b, since b = 0 and b = a are no roots when a has a
-    prime power with two roots: at the first such one (2^e when
+    with r(a) > 0 come by one Chinese remainder step, _split_roots, from
+    the roots of its cofactor a/p^e, p the largest odd prime of a; a
+    power of 2 is its own cofactor, joined to the root 0 mod q = 1.  The
+    cofactors are few, and their roots are listed once, by the same step.
+    A root b counts when c > a, that is |b| > beta = isqrt(4a^2 + disc),
+    and the form (a, beta, a) counts once when beta^2 = 4a^2 + disc.  The
+    roots come in pairs b, -b, since b = 0 and b = a are no roots when a
+    has a prime power with two roots: at the first such one (2^e when
     disc = 1 mod 8, else an odd split prime) only one root is kept, so
     one root of each pair is listed, and each counts twice.
+
+    The sieve and the largest primes take 5 bytes per a, the listed
+    roots a few more, and the cached prime table 4 bytes per prime.  What
+    the count builds holds no reference cycle, so it is freed on return.
     """
     a_low, a_top = isqrt(-disc // 4), isqrt(-disc // 3)
     half = a_top // 2
@@ -1024,7 +1032,7 @@ def _count_reduced_forms(disc: int) -> int:
     # 2, in native 32-bit words.  A prime in (a_top/2, a_low] is left out:
     # no a above a_low, nor a cofactor of one, is its multiple.
     largest = memoryview(bytearray(4 * (a_top + 1))).cast("I")
-    primes = primes_up_to(a_top)
+    primes = _sieve(a_top)
     for p in islice(primes, 1, bisect_right(primes, a_low)):
         s = pow(disc, p >> 1, p)    # 1: split, 0: ramified
         if s > 1:                                   # inert
@@ -1045,10 +1053,12 @@ def _count_reduced_forms(disc: int) -> int:
             p.to_bytes(4, sys.byteorder) * (a_top // p)).cast("I")
     h = sum(sieve.count(v, 1, a_low + 1) << (v - 1)
             for v in range(1, a_top.bit_length() + 2))
-    # roots[q]: the roots of disc mod the odd prime power q.  An odd prime
-    # above a_low is a live a of its own exactly when it has a root.
-    roots: dict[int, tuple[int, ...]] = {}
-    for p in islice(primes, bisect_right(primes, max(a_low, 2)), None):
+    # roots[q]: the roots of disc mod the odd prime power q, and (0,) mod
+    # q = 1.  An odd prime above a_low is a live a of its own exactly when
+    # it has a root.
+    roots: dict[int, tuple[int, ...]] = {1: (0,)}
+    for p in islice(primes, bisect_right(primes, max(a_low, 2)),
+                    bisect_right(primes, a_top)):
         x = sqrt_mod(disc, p)
         if x is None:
             sieve[p] = 0
@@ -1058,54 +1068,52 @@ def _count_reduced_forms(disc: int) -> int:
     # cofactors[c] = (res, paired): the roots b mod 2c of b^2 = disc mod
     # 4c, only one of each pair b, -b when paired
     cofactors: dict[int, tuple[list[int], bool]] = {}
-
-    def step(c: int):
-        """The Chinese remainder step to c = d*q, q = p^e the part of its
-        largest odd prime p: the roots res of d with paired, 2d, q, and
-        the roots R of disc mod q, one alone when they are the first
-        pair."""
-        p = largest[c]
-        q, d = p, c // p
-        while d % p == 0:
-            q, d = q * p, d // p
-        res, paired = cofactors.get(d) or roots_of(d)
-        R = roots.get(q)
-        if R is None:
-            R = roots[q] = _roots(disc, p, q)
-        if not paired and len(R) == 2:
-            R, paired = R[:1], True
-        return res, paired, 2 * d, q, R
-
-    def roots_of(c: int) -> tuple[list[int], bool]:
-        """cofactors[c], listed on its first use."""
-        if largest[c]:
-            res, paired, M, q, R = step(c)
-            inv = pow(M, -1, q)
-            res = [t + M * ((u - t) * inv % q) for t in res for u in R]
-        else:
-            R = _roots(disc, 2, c)
-            paired = len(R) == 2
-            res = list(R[:1] if paired else R)
-        cofactors[c] = res, paired
-        return res, paired
-
     for a in compress(range(a_low + 1, a_top + 1), sieve[a_low + 1:]):
         T = 4 * a * a + disc
         beta = isqrt(T)
         top = 2 * a - beta
-        if largest[a]:
-            res, paired, M, q, R = step(a)
-            inv = pow(M, -1, q)
-            n = 0
-            for t in res:
-                for u in R:
-                    if beta < t + M * ((u - t) * inv % q) < top:
-                        n += 1
-        else:
-            res, paired = roots_of(a)
-            n = sum(beta < t < top for t in res)
+        res, paired, M, q, R = _split_roots(a, disc, largest, roots, cofactors)
+        inv = pow(M, -1, q)
+        n = 0
+        for t in res:
+            for u in R:
+                if beta < t + M * ((u - t) * inv % q) < top:
+                    n += 1
         h += (n << paired) + (beta * beta == T)
     return h
+
+
+def _split_roots(c: int, disc: int, largest, roots: dict,
+                 cofactors: dict) -> tuple:
+    """The Chinese remainder step of _count_reduced_forms to c = d*q, q the
+    part of c of its largest non-inert odd prime p = largest[c], or q = 1
+    when c is a power of 2: the roots res of d with paired, 2d, q, and the
+    roots R of disc mod q, one alone when they are the first pair.  The
+    roots of d are listed on their first use, by the same step or, for a
+    power of 2, by _roots, and kept in cofactors."""
+    p = largest[c]
+    q, d = 1, c
+    while p and d % p == 0:
+        q, d = q * p, d // p
+    listed = cofactors.get(d)
+    if listed is None:
+        if largest[d]:
+            res, paired, M, s, R = _split_roots(d, disc, largest, roots,
+                                                cofactors)
+            inv = pow(M, -1, s)
+            res = [t + M * ((u - t) * inv % s) for t in res for u in R]
+        else:
+            R = _roots(disc, 2, d)
+            paired = len(R) == 2
+            res = list(R[:1] if paired else R)
+        listed = cofactors[d] = res, paired
+    res, paired = listed
+    R = roots.get(q)
+    if R is None:
+        R = roots[q] = _roots(disc, p, q)
+    if not paired and len(R) == 2:
+        R, paired = R[:1], True
+    return res, paired, 2 * d, q, R
 
 
 def _roots(disc: int, p: int, q: int) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 conductors.  The HNF oracle here is an independent Euclidean sweep, kept
 deliberately separate from the production single-pass implementation."""
 
+import gc
 import math
 import random
 import sys
@@ -1038,9 +1039,21 @@ def test_class_number_past_the_cap_is_refused(monkeypatch):
     # refused before any prime is sieved; the message gives the size
     def no_sieve(limit):
         raise AssertionError("the sieve ran")
-    monkeypatch.setattr(qr, "primes_up_to", no_sieve)
+    monkeypatch.setattr(qr, "_sieve", no_sieve)
     with pytest.raises(ClassNumberBoundError, match="102 bits"):
         class_number_disc(-4 * 10 ** 30)
+
+
+def test_a_count_frees_its_tables_on_return():
+    # the count's roots and its array of largest primes form no cycle, so
+    # they go when it returns, not at the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        assert class_number_disc(-4000000000004) == 938880
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_class_number_walks_only_to_its_fundamental_part(monkeypatch):
